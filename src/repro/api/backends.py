@@ -162,7 +162,10 @@ class InlineBackend(ExecutionBackend):
     """Serial reference execution in the calling thread."""
 
     def run(self, fixy, spec, scenes, filt) -> list[ScoredItem]:
-        blocks = [fixy.scorer(scene).rank(spec.kind, filt) for scene in scenes]
+        blocks = [
+            fixy.scorer(scene).rank(spec.kind, filt, spec.top_k)
+            for scene in scenes
+        ]
         return merge_rankings(blocks, spec.top_k)
 
     def run_stream(self, fixy, spec, source, filt):
@@ -173,11 +176,10 @@ class InlineBackend(ExecutionBackend):
         compiled-columns sidecar when the model fingerprint matches —
         skipping ``compile_scene``), merged into the running ranking,
         evicted from the engine's compile cache, and dropped. The
-        progressive merge is exact: ``merge_rankings`` is a stable
-        descending sort over concatenated blocks, so re-merging the
-        already-merged prefix as block 0 with each batch's blocks
-        yields byte-identical results to one global merge (the same
-        truncation-exactness argument as :class:`SessionBackend`).
+        progressive merge is exact: re-merging the already-merged
+        prefix as block 0 with each batch's blocks yields
+        byte-identical results to one global merge (see
+        :func:`~repro.core.scoring.merge_rankings`).
 
         Peak residency is measured, not assumed: every fetched scene is
         weakly referenced and the live count sampled at each batch
@@ -213,7 +215,7 @@ class InlineBackend(ExecutionBackend):
                         compile_warm += 1
                     else:
                         compile_cold += 1
-                    blocks.append(scorer.rank(spec.kind, filt))
+                    blocks.append(scorer.rank(spec.kind, filt, spec.top_k))
                     fixy._evict_scene(scene)
                 n_scenes += len(batch)
                 merged = merge_rankings([merged, *blocks], spec.top_k)
@@ -312,11 +314,9 @@ class SessionBackend(ExecutionBackend):
     service updates on every edit — so a batch run exercises the same
     maintenance code the standing ``subscribe``/``edit`` ops use.
     ``standing=False`` falls back to the spliced full-rescore path
-    (``session.rank``); both are byte-identical, and the per-block
-    top-k truncation the standing path applies is exact: any item in
-    the global top-k is necessarily within its own block's top-k, and
-    :func:`~repro.core.scoring.merge_rankings`'s stable sort preserves
-    the survivors' block order.
+    (``session.rank``); both are byte-identical, and both truncate each
+    scene's block to ``top_k`` before the merge, which
+    :func:`~repro.core.scoring.merge_rankings` shows is exact.
     """
 
     def __init__(self, standing: bool = True):
@@ -331,5 +331,5 @@ class SessionBackend(ExecutionBackend):
                 blocks.append(audit.results())
                 session.unsubscribe(audit.audit_id)
             else:
-                blocks.append(session.rank(spec.kind, filt))
+                blocks.append(session.rank(spec.kind, filt, spec.top_k))
         return merge_rankings(blocks, spec.top_k)

@@ -284,6 +284,22 @@ class WorkerEndpoint:
         while len(self._known_hashes) > self._known_limit:
             self._known_hashes.popitem(last=False)
 
+    def remember_chunk(self, shipped, hashes) -> None:
+        """Replay one chunk on the mirror in the worker's own order.
+
+        The worker ingests the ``shipped`` bodies first and then looks
+        up the chunk's other ``hashes`` in request order; both move an
+        entry to the fresh end of its LRU. Touching only new hashes
+        would let a hot hash age out of the mirror while the worker
+        still holds it, and the coordinator would re-ship its body.
+        """
+        for fingerprint in shipped:
+            self.remember(fingerprint)
+        shipped = set(shipped)
+        for fingerprint in hashes:
+            if fingerprint not in shipped:
+                self.remember(fingerprint)
+
     def client(self, probe: bool = False, wire: str = "json") -> AuditClient:
         """A fresh connection to this worker (caller closes it).
 
@@ -1031,8 +1047,7 @@ class WorkerPool:
                                 unknown = [
                                     h for h in hashes if not worker.knows(h)
                                 ]
-                                for fingerprint in unknown:
-                                    worker.remember(fingerprint)
+                                worker.remember_chunk(unknown, hashes)
                         blobs = tuple(
                             warehouse.get_blob(h) for h in unknown
                         )
@@ -1048,8 +1063,7 @@ class WorkerPool:
                             unknown = [
                                 h for h in by_hash if not worker.knows(h)
                             ]
-                            for fingerprint in unknown:
-                                worker.remember(fingerprint)
+                            worker.remember_chunk(unknown, hashes)
                         blobs = tuple(by_hash[h] for h in unknown)
                     stats["encode_s"] += encode.s
                     client.send_request(
@@ -1096,8 +1110,9 @@ class WorkerPool:
                     )
                     del refill_bodies
                     with self._lock:
-                        for fingerprint in hashes:
-                            worker.remember(fingerprint)
+                        worker.remember_chunk(
+                            hashes if by_hash is None else list(by_hash), hashes
+                        )
                     _REFILLS.inc()
                     in_flight.append((block_slot, hashes, by_hash, refills + 1))
                     continue

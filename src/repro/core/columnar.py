@@ -257,6 +257,11 @@ class ObservationTable:
         return int(self.trans_before.size)
 
     @property
+    def parts(self) -> tuple["ObservationTable", ...]:
+        """The tables whose rows this one concatenates, in row order."""
+        return (self,)
+
+    @property
     def transitions(self) -> list[tuple[ObservationBundle, ObservationBundle]]:
         """All (β_i, β_{i+1}) item tuples, built once on first use."""
         if self._transitions is None:
@@ -654,10 +659,11 @@ def _fallback_column(
 class SplicedTable(ObservationTable):
     """A lazily merged view over per-track tables (delta recompilation).
 
-    Scoring a spliced scene needs almost nothing from the merged table —
-    only ``n_obs`` up front, and ``row_of`` for bundle/observation
-    queries — while the full merge (observation lists, per-row arrays,
-    class codes) is only consulted by the graph views and diagnostics.
+    Ranking a spliced scene needs almost nothing from the merged table:
+    ``n_obs``, and the per-track :attr:`parts` that hold the ranked
+    objects. The full merge (observation lists, per-row arrays, class
+    codes, ``row_of``) is only consulted by per-component ``score_*``
+    queries, the graph views and diagnostics.
     This subclass therefore materializes :meth:`ObservationTable.concat`
     on first touch of any merged attribute, keeping the edit → recompile
     path free of per-observation work for unchanged tracks.
@@ -683,6 +689,10 @@ class SplicedTable(ObservationTable):
     @property
     def n_obs(self) -> int:
         return self._n_obs
+
+    @property
+    def parts(self) -> tuple[ObservationTable, ...]:
+        return tuple(self._parts)
 
     @property
     def row_of(self) -> dict[str, int]:

@@ -348,7 +348,7 @@ class Fixy:
         """
         kind = normalize_rank_kind(kind)
         blocks = [
-            scorer.rank(kind, filt)
+            scorer.rank(kind, filt, top_k)
             for scorer in self._scorers(_as_list(scenes), n_jobs)
         ]
         return merge_rankings(blocks, top_k)

@@ -15,33 +15,50 @@ likelihoods 0.37 and 0.39 and a velocity likelihood of 0.21 scores
 A component touching a zero potential (an AOF that zeroed it out) scores
 ``-inf`` and is dropped from rankings.
 
-Implementation: on construction the :class:`Scorer` builds, in one
-pass, a log-potential array (one entry per factor, via
-:func:`~repro.factorgraph.factors.log_potentials`) plus a
-row-sorted edge table mapping each observation to the array positions
-of its adjacent factors. Scoring a component is then a NumPy gather +
-reduce — no graph traversal — and the ``rank_*`` methods read both the
-score and the factor count from that one lookup (previously
-``factors_of_observations`` walked the graph twice per ranked item).
-
+Implementation: the :class:`Scorer` holds a log-potential array (one
+entry per factor, via :func:`~repro.factorgraph.factors.log_potentials`)
+and, built on first need, a row-sorted edge table mapping each
+observation row to the array positions of its adjacent factors.
 Vectorized compiles feed the edge table straight from
 :class:`~repro.core.compile.CompiledColumns` arrays without ever
-materializing factor-graph nodes; ``rank_tracks`` additionally uses the
-per-track factor slices those arrays carry (factors of a track are
-contiguous, so a track's score is a single vector reduce). Scalar
-compiles and hand-built :class:`~repro.core.compile.CompiledScene`
-instances build the same structures by walking ``compiled.factors``
-once.
+materializing factor-graph nodes; scalar compiles and hand-built
+:class:`~repro.core.compile.CompiledScene` instances build it by
+walking ``compiled.factors`` once.
+
+Ranking is array-native. :meth:`Scorer.rank` ``(kind, filt=None,
+top_k=None)`` scores every component of a kind in one NumPy pass the
+first time that kind is asked for, and memoizes the float64 scores, the
+distinct-factor counts, and the stable best-first order of the
+rankable items (at least one factor, score above ``-inf``). A track's
+factors are contiguous, so tracks read their scores off the per-track
+factor slices the compile carries; bundles take the sorted union of
+their rows' edges. Scores are summed with ``.sum(axis=1)`` over items
+grouped by factor count: that is the same pairwise reduction a
+per-item ``logs.sum()`` runs, so every score is bit-identical to
+scoring the component alone (:meth:`Scorer.score_observations`).
+``np.add.reduceat`` and ``np.bincount`` sum sequentially and change
+the last bit from three factors up.
+
+``rank`` builds :class:`ScoredItem` objects only for the items it
+returns, and those items are the scene's own ``Observation`` /
+``ObservationBundle`` / ``Track`` objects, found through the
+observation table. For a spliced session table it looks them up in the
+per-track parts, so ranking never materializes the merged table. A
+filter runs lazily in score order until ``top_k`` items have passed.
+Filters must therefore be pure: which items a filter sees, and in what
+order, is not part of the contract.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from repro.core.columnar import ObservationTable
 from repro.core.compile import CompiledScene
 from repro.core.model import Observation, ObservationBundle, Track
 from repro.factorgraph.factors import log_potentials
@@ -108,6 +125,14 @@ def merge_rankings(
     concatenated in submission order, then stable-sorted best score
     first — so identical per-scene blocks always produce the identical
     merged ranking, whatever execution strategy produced them.
+
+    Truncating each block to its own best ``top_k`` before the merge
+    is exact, so every surface passes ``top_k`` down to the per-scene
+    ranks: an item in the global top-k is necessarily within its own
+    block's top-k (everything ahead of it in its block is ahead of it
+    globally too), and the stable sort keeps the survivors' block
+    order. The same argument makes progressive merges exact
+    (re-merging an already merged prefix as block 0).
     """
     ranked: list[ScoredItem] = []
     for block in blocks:
@@ -199,102 +224,98 @@ class ScoredItem:
 class Scorer:
     """Scores components of a compiled scene.
 
-    Construction precomputes the log-potential array and per-observation
-    factor-index structures described in the module docstring; all
-    scoring methods run off those arrays.
+    Construction computes the log-potential array and the table layout.
+    The edge table and each kind's ranking arrays are built on first use
+    and memoized: a scorer is as immutable as the compiled scene it
+    reads.
     """
 
     def __init__(self, compiled: CompiledScene):
         self.compiled = compiled
-        columns = getattr(compiled, "columns", None)
+        #: kind -> (scores, distinct-factor counts, best-first order)
+        self._rankings: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._track_slices: dict[str, tuple[int, int]] | None = None
+        columns = getattr(compiled, "columns", None)
         if columns is not None:
-            self._init_from_columns(columns)
+            self._columns = columns
+            self._table = columns.table
+            self._edges = None
+            self._log_pot = (
+                log_potentials(columns.potentials)
+                if columns.n_factors
+                else np.empty(0, dtype=float)
+            )
+            # The slice shortcut assumes a track's factors attach only to
+            # its own observations; custom cross-track features void it.
+            if columns.track_slices_cover_members:
+                self._track_slices = columns.track_factor_slices
         else:
             self._init_from_graph(compiled)
-
-    def _init_from_columns(self, columns) -> None:
-        """Edge table straight from the columnar compile arrays."""
-        n_factors = columns.n_factors
-        self._log_pot = (
-            log_potentials(columns.potentials)
-            if n_factors
-            else np.empty(0, dtype=float)
-        )
-        lengths = (columns.member_stop - columns.member_start).astype(np.intp)
-        for i, rows in columns.member_overrides.items():
-            lengths[i] = rows.size
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        total = int(offsets[-1])
-        if total:
-            # Expand each factor's [start, stop) range into explicit rows.
-            flat = (
-                np.arange(total)
-                - np.repeat(offsets[:-1], lengths)
-                + np.repeat(columns.member_start, lengths)
-            )
-            for i, rows in columns.member_overrides.items():
-                flat[offsets[i] : offsets[i + 1]] = rows
-            edge_factor = np.repeat(np.arange(n_factors, dtype=np.intp), lengths)
-            order = np.argsort(flat, kind="stable")
-            rows_sorted = flat[order]
-            self._edge_factors = edge_factor[order]
-            self._row_ptr = np.searchsorted(
-                rows_sorted, np.arange(columns.table.n_obs + 1)
-            )
-        else:
-            self._edge_factors = np.empty(0, dtype=np.intp)
-            self._row_ptr = np.zeros(columns.table.n_obs + 1, dtype=np.intp)
-        # Bound lazily in _factor_indices: on spliced compiles the
-        # obs-id → row map only materializes if a bundle/observation
-        # query actually needs it (track ranking runs off the slices).
-        self._table = columns.table
-        self._row_of = None
-        self._obs_factors = None
-        # The slice shortcut assumes a track's factors attach only to
-        # its own observations; custom cross-track features void it.
-        if columns.track_slices_cover_members:
-            self._track_slices = columns.track_factor_slices
+        self._layout = _Layout(self._table)
 
     def _init_from_graph(self, compiled: CompiledScene) -> None:
         """One pass over an eagerly-built graph (scalar or hand-built)."""
         graph = compiled.graph
-        values = []
-        obs_lists: dict[str, list[int]] = {}
+        self._table = ObservationTable(compiled.scene)
+        row_of = self._table.row_of
+        values, rows, factors = [], [], []
         for name, factor in compiled.factors.items():
             if not graph.has_factor(name):
                 continue
             index = len(values)
             values.append(factor.value)
             for var in graph.factor_scope(name):
-                obs_lists.setdefault(var.name, []).append(index)
+                row = row_of.get(var.name)
+                if row is not None:
+                    rows.append(row)
+                    factors.append(index)
         self._log_pot = (
             log_potentials(values) if values else np.empty(0, dtype=float)
         )
-        self._obs_factors = {
-            obs_id: np.asarray(indices, dtype=np.intp)
-            for obs_id, indices in obs_lists.items()
-        }
-        self._table = None
-        self._row_of = None
+        self._edges = _row_sorted(
+            np.asarray(rows, dtype=np.intp),
+            np.asarray(factors, dtype=np.intp),
+            self._table.n_obs,
+        )
+
+    def _edge_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(edge_factors, row_ptr)``: row ``r``'s adjacent factors are
+        ``edge_factors[row_ptr[r]:row_ptr[r + 1]]``, ascending.
+
+        Built from the columnar arrays on first need; ranking tracks
+        off the per-track slices never needs it.
+        """
+        if self._edges is None:
+            columns = self._columns
+            lengths = (columns.member_stop - columns.member_start).astype(np.intp)
+            for i, rows in columns.member_overrides.items():
+                lengths[i] = rows.size
+            offsets = np.concatenate([[0], np.cumsum(lengths)])
+            # Expand each factor's [start, stop) range into explicit rows.
+            flat = (
+                np.arange(int(offsets[-1]))
+                - np.repeat(offsets[:-1], lengths)
+                + np.repeat(columns.member_start, lengths)
+            )
+            for i, rows in columns.member_overrides.items():
+                flat[offsets[i] : offsets[i + 1]] = rows
+            edge_factor = np.repeat(
+                np.arange(columns.n_factors, dtype=np.intp), lengths
+            )
+            self._edges = _row_sorted(flat, edge_factor, self._table.n_obs)
+        return self._edges
 
     # ------------------------------------------------------------------
     def _factor_indices(self, observations: list[Observation]) -> list[np.ndarray]:
         """Per-observation adjacent-factor index arrays."""
-        if self._obs_factors is not None:
-            return [
-                self._obs_factors[obs.obs_id]
-                for obs in observations
-                if obs.obs_id in self._obs_factors
-            ]
-        if self._row_of is None:
-            self._row_of = self._table.row_of
+        edge_factors, row_ptr = self._edge_table()
+        row_of = self._table.row_of
         out = []
         for obs in observations:
-            row = self._row_of.get(obs.obs_id)
+            row = row_of.get(obs.obs_id)
             if row is None:
                 continue
-            part = self._edge_factors[self._row_ptr[row] : self._row_ptr[row + 1]]
+            part = edge_factors[row_ptr[row] : row_ptr[row + 1]]
             if part.size:
                 out.append(part)
         return out
@@ -312,17 +333,6 @@ class Scorer:
             indices = np.unique(np.concatenate(index_arrays))
         logs = self._log_pot[indices]
         n_factors = int(indices.size)
-        if np.isneginf(logs).any():
-            return -math.inf, n_factors
-        return float(logs.sum() / n_factors), n_factors
-
-    def _score_track_slice(self, track_id: str) -> tuple[float | None, int]:
-        """A track's score from its contiguous factor slice (fast path)."""
-        start, stop = self._track_slices[track_id]
-        n_factors = stop - start
-        if n_factors == 0:
-            return None, 0
-        logs = self._log_pot[start:stop]
         if np.isneginf(logs).any():
             return -math.inf, n_factors
         return float(logs.sum() / n_factors), n_factors
@@ -346,62 +356,54 @@ class Scorer:
         return self.score_observations(track.observations)
 
     # ------------------------------------------------------------------
-    def _scored(self, item, observations, track_id: str) -> ScoredItem | None:
-        score, n_factors = self._score_and_count(observations)
-        if score is None or score == -math.inf:
-            return None
-        return ScoredItem(
-            item=item,
-            score=score,
-            scene_id=self.compiled.scene.scene_id,
-            track_id=track_id,
-            n_factors=n_factors,
-        )
-
-    def rank(self, kind: str, filt=None) -> list[ScoredItem]:
-        """Rank by component kind name — the serving-layer dispatcher.
+    def rank(
+        self, kind: str, filt=None, top_k: int | None = None
+    ) -> list[ScoredItem]:
+        """Rankable components of ``kind``, best score first.
 
         ``kind`` is ``"tracks"``, ``"bundles"``, or ``"observations"``
-        (singular forms accepted). Lets callers that receive the kind as
-        data (the JSON service, process-pool workers) avoid getattr
-        string plumbing. Raises :class:`UnknownRankKindError` on
-        anything else.
+        (singular forms accepted; anything else raises
+        :class:`UnknownRankKindError`). ``filt`` is the kind's filter —
+        ``(track)``, ``(bundle, track)``, or ``(observation)`` — and
+        runs lazily in score order, so it must be pure. ``top_k`` keeps
+        the best ``top_k`` items (``None`` keeps all). Items scoring
+        ``-inf`` or touching no factor are left out. Only the returned
+        items are built as :class:`ScoredItem` objects, and each holds
+        the scene's own component object.
         """
-        method = {
-            "tracks": self.rank_tracks,
-            "bundles": self.rank_bundles,
-            "observations": self.rank_observations,
-        }[normalize_rank_kind(kind)]
-        return method(filt)
+        kind = normalize_rank_kind(kind)
+        if top_k is not None and top_k < 0:
+            raise ValueError(f"top_k must be None or >= 0, got {top_k!r}")
+        scores, counts, order = self._ranking(kind)
+        resolve = getattr(self._layout, kind)
+        scene_id = self.compiled.scene.scene_id
+        if filt is None and top_k is not None:
+            order = order[:top_k]
+        out: list[ScoredItem] = []
+        for index in order.tolist():
+            if top_k is not None and len(out) >= top_k:
+                break
+            item, track = resolve(index)
+            if filt is not None and not (
+                filt(item, track) if kind == "bundles" else filt(item)
+            ):
+                continue
+            out.append(
+                ScoredItem(
+                    item=item,
+                    score=float(scores[index]),
+                    scene_id=scene_id,
+                    track_id=track.track_id,
+                    n_factors=int(counts[index]),
+                )
+            )
+        return out
 
     def rank_tracks(
         self, track_filter: Callable[[Track], bool] | None = None
     ) -> list[ScoredItem]:
         """All finite-scoring tracks, best score first."""
-        out = []
-        scene_id = self.compiled.scene.scene_id
-        for track in self.compiled.scene.tracks:
-            if track_filter is not None and not track_filter(track):
-                continue
-            if self._track_slices is not None and track.track_id in self._track_slices:
-                score, n_factors = self._score_track_slice(track.track_id)
-                if score is None or score == -math.inf:
-                    continue
-                out.append(
-                    ScoredItem(
-                        item=track,
-                        score=score,
-                        scene_id=scene_id,
-                        track_id=track.track_id,
-                        n_factors=n_factors,
-                    )
-                )
-                continue
-            scored = self._scored(track, track.observations, track.track_id)
-            if scored is not None:
-                out.append(scored)
-        out.sort(key=lambda s: s.score, reverse=True)
-        return out
+        return self.rank("tracks", track_filter)
 
     def rank_bundles(
         self,
@@ -411,30 +413,164 @@ class Scorer:
 
         ``bundle_filter`` receives the bundle and its enclosing track.
         """
-        out = []
-        for track in self.compiled.scene.tracks:
-            for bundle in track.bundles:
-                if bundle_filter is not None and not bundle_filter(bundle, track):
-                    continue
-                scored = self._scored(
-                    bundle, list(bundle.observations), track.track_id
-                )
-                if scored is not None:
-                    out.append(scored)
-        out.sort(key=lambda s: s.score, reverse=True)
-        return out
+        return self.rank("bundles", bundle_filter)
 
     def rank_observations(
         self, obs_filter: Callable[[Observation], bool] | None = None
     ) -> list[ScoredItem]:
         """All finite-scoring individual observations, best first."""
-        out = []
-        for track in self.compiled.scene.tracks:
-            for obs in track.observations:
-                if obs_filter is not None and not obs_filter(obs):
-                    continue
-                scored = self._scored(obs, [obs], track.track_id)
-                if scored is not None:
-                    out.append(scored)
-        out.sort(key=lambda s: s.score, reverse=True)
-        return out
+        return self.rank("observations", obs_filter)
+
+    # ------------------------------------------------------------------
+    def _ranking(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(scores, counts, order)`` for every item of ``kind`` in
+        scene order; ``order`` lists the rankable items best first,
+        ties in scene order."""
+        ranking = self._rankings.get(kind)
+        if ranking is None:
+            logs, starts, counts = self._factor_logs(kind)
+            scores = _mean_logs(logs, starts, counts)
+            keep = np.flatnonzero(scores > -math.inf)
+            order = keep[np.argsort(-scores[keep], kind="stable")]
+            ranking = self._rankings[kind] = (scores, counts, order)
+        return ranking
+
+    def _factor_logs(self, kind: str):
+        """``(logs, starts, counts)``: item ``i``'s distinct factors'
+        log potentials, ascending by factor, are
+        ``logs[starts[i] : starts[i] + counts[i]]``."""
+        if kind == "tracks" and self._track_slices is not None:
+            bounds = np.asarray(
+                [self._track_slices[t.track_id] for t in self._table.tracks],
+                dtype=np.intp,
+            ).reshape(-1, 2)
+            return self._log_pot, bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+        edge_factors, row_ptr = self._edge_table()
+        if kind == "observations":
+            return self._log_pot[edge_factors], row_ptr[:-1], np.diff(row_ptr)
+        first, stop = self._layout.row_ranges(kind)
+        # The edges of rows [first, stop) are contiguous in the table;
+        # sort (item, factor) keys and keep one of each to get every
+        # item's distinct factors in ascending order.
+        lo, hi = row_ptr[first], row_ptr[stop]
+        lengths = hi - lo
+        items = np.repeat(np.arange(lengths.size), lengths)
+        positions = np.arange(items.size) + np.repeat(
+            lo - (np.cumsum(lengths) - lengths), lengths
+        )
+        width = max(self._log_pot.size, 1)
+        keys = np.sort(items * width + edge_factors[positions])
+        if keys.size:
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        owners, factors = np.divmod(keys, width)
+        counts = np.bincount(owners, minlength=lengths.size)
+        return self._log_pot[factors], np.cumsum(counts) - counts, counts
+
+
+def _row_sorted(rows: np.ndarray, factors: np.ndarray, n_rows: int):
+    """``(edge_factors, row_ptr)`` from parallel edge arrays (the
+    stable sort keeps each row's factors in ascending order)."""
+    row_ptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=row_ptr[1:])
+    # NumPy radix-sorts 8- and 16-bit keys, so sort the row ids in the
+    # narrowest type that holds them.
+    keys = rows.astype(np.min_scalar_type(n_rows), copy=False)
+    return factors[np.argsort(keys, kind="stable")], row_ptr
+
+
+def _mean_logs(
+    logs: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Mean of ``logs[starts[i] : starts[i] + counts[i]]`` per item.
+
+    ``-inf`` when any term is ``-inf``; NaN for items with no factors
+    (and for NaN terms, which only a hand-built graph can carry).
+    Items with the same count are summed as the rows of one matrix,
+    which reduces each row pairwise exactly as a 1-D ``sum`` does.
+    """
+    scores = np.full(counts.size, np.nan)
+    if not counts.size:
+        return scores
+    order = np.argsort(counts, kind="stable")
+    ordered = counts[order]
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    bounds = [0, *cuts, counts.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        n = int(ordered[lo])
+        if n == 0:
+            continue
+        if hi - lo == 1:
+            item = int(order[lo])
+            start = int(starts[item])
+            scores[item] = logs[start : start + n].sum() / n
+        else:
+            group = order[lo:hi]
+            block = logs[starts[group][:, None] + np.arange(n)]
+            scores[group] = block.sum(axis=1) / n
+    # A -inf term already makes the sum -inf, unless a +inf or NaN term
+    # turns it into NaN; only then recount each item's -inf terms.
+    if logs.size and not logs.max() < math.inf:
+        seen = np.concatenate(([0], np.cumsum(logs == -math.inf)))
+        scores[seen[starts + counts] > seen[starts]] = -math.inf
+    return scores
+
+
+class _Layout:
+    """The scene's own objects behind the rows, bundles and tracks of
+    an observation table.
+
+    Looks each one up in the table's per-track parts (the table itself,
+    unless it is a :class:`~repro.core.columnar.SplicedTable`), so a
+    ranking never builds the merged observation and bundle lists. The
+    methods named after a rank kind map an item index to
+    ``(item, enclosing track)``.
+    """
+
+    def __init__(self, table: ObservationTable):
+        self.track_list = table.tracks
+        self.parts = table.parts
+        self.part_rows: list[int] = []
+        self.part_bundles: list[int] = []
+        self.track_rows: list[tuple[int, int]] = []
+        self.track_bundles: list[int] = []
+        rows = bundles = 0
+        for part in self.parts:
+            self.part_rows.append(rows)
+            self.part_bundles.append(bundles)
+            self.track_rows.extend(
+                (start + rows, stop + rows) for start, stop in part.track_obs_slices
+            )
+            self.track_bundles.extend(
+                start + bundles for start, _ in part.track_bundle_slices
+            )
+            rows += part.n_obs
+            bundles += part.n_bundles
+        self.track_row_starts = [start for start, _ in self.track_rows]
+
+    def row_ranges(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """Per-item ``[first, stop)`` observation rows of tracks or bundles."""
+        if kind == "tracks":
+            bounds = np.asarray(self.track_rows, dtype=np.intp).reshape(-1, 2)
+            return bounds[:, 0], bounds[:, 1]
+        first = [p.bundle_start + r for p, r in zip(self.parts, self.part_rows)]
+        stop = [p.bundle_stop + r for p, r in zip(self.parts, self.part_rows)]
+        return (
+            np.concatenate(first).astype(np.intp, copy=False),
+            np.concatenate(stop).astype(np.intp, copy=False),
+        )
+
+    def tracks(self, index: int):
+        track = self.track_list[index]
+        return track, track
+
+    def bundles(self, index: int):
+        part = bisect_right(self.part_bundles, index) - 1
+        bundle = self.parts[part].bundles[index - self.part_bundles[part]]
+        track = bisect_right(self.track_bundles, index) - 1
+        return bundle, self.track_list[track]
+
+    def observations(self, row: int):
+        part = bisect_right(self.part_rows, row) - 1
+        obs = self.parts[part].observations[row - self.part_rows[part]]
+        track = bisect_right(self.track_row_starts, row) - 1
+        return obs, self.track_list[track]

@@ -21,6 +21,10 @@ import numpy as np
 
 __all__ = ["Box3D", "wrap_angle", "wrap_angles", "box_from_dict"]
 
+# A module global, not ``math.inf``: the size check runs once per box
+# on the scene-decoding path, and the attribute lookup doubled its cost.
+_INF = math.inf
+
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle in radians to the interval ``[-pi, pi)``.
@@ -59,7 +63,13 @@ class Box3D:
     yaw: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.length <= 0 or self.width <= 0 or self.height <= 0:
+        # Chained comparisons reject NaN and inf too (``nan <= 0`` is
+        # false), without a function call per box.
+        if not (
+            0 < self.length < _INF
+            and 0 < self.width < _INF
+            and 0 < self.height < _INF
+        ):
             raise ValueError(
                 "box dimensions must be positive, got "
                 f"(l={self.length}, w={self.width}, h={self.height})"

@@ -346,8 +346,7 @@ class SceneSession:
         the scene mid-iteration.
         """
         with self._lock:
-            ranked = self.scorer.rank(kind, filt)
-        return ranked[:top_k] if top_k is not None else ranked
+            return self.scorer.rank(kind, filt, top_k)
 
     # ------------------------------------------------------------------
     # Standing audits

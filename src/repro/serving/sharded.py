@@ -96,11 +96,12 @@ def _worker_scorer(scene_dict: dict, key: str):
 
 
 def _worker_rank(task: tuple) -> tuple[int, bool, list[ScoredItem]]:
-    """Rank one scene; returns (pid, cache_hit, per-scene ranking)."""
-    scene_dict, key, kind, filt = task
+    """Rank one scene; returns (pid, cache_hit, per-scene top-k)."""
+    scene_dict, key, kind, filt, top_k = task
     hits_before = _WORKER["hits"]
     scorer = _worker_scorer(scene_dict, key)
-    return os.getpid(), _WORKER["hits"] > hits_before, scorer.rank(kind, filt)
+    ranked = scorer.rank(kind, filt, top_k)
+    return os.getpid(), _WORKER["hits"] > hits_before, ranked
 
 
 def _worker_cache_stats(_: object) -> dict:
@@ -198,7 +199,7 @@ class ShardedRanker:
             scenes = [scenes]
         payloads = [scene.to_dict() for scene in scenes]
         tasks = [
-            (payload, _payload_fingerprint(payload), kind, filt)
+            (payload, _payload_fingerprint(payload), kind, filt, top_k)
             for payload in payloads
         ]
         blocks: list[list[ScoredItem]] = []

@@ -21,9 +21,11 @@ scene-wide scorer, and a standing audit never needs the splice at all.
 
 The maintained structure is the classic bounded top-k heap+threshold:
 
-- ``_items[track_id]``: the track's scored components, best first (the
-  segment scorer's own stable order — within a track, equal scores keep
-  generation order, exactly like the full rescore);
+- ``_items[track_id]``: the track's best ``top_k`` scored components,
+  best first (the segment scorer's own stable order — within a track,
+  equal scores keep generation order, exactly like the full rescore;
+  the rest of a track can never reach the global top-k, see
+  :func:`~repro.core.scoring.merge_rankings`);
 - ``_cand``: the candidate set — every live item with score ≥ the
   threshold θ (tie-inclusive, so ties at the k boundary are *all*
   candidates and their relative order is resolved only at query time);
@@ -172,7 +174,7 @@ class StandingAudit:
         #: Tracks rescored by the most recent maintenance delivery —
         #: the per-edit cost a caller prints next to the updated top-k.
         self.last_rescored = 0
-        #: track_id -> that track's ScoredItems, segment-scorer order.
+        #: track_id -> that track's best top_k ScoredItems, segment-scorer order.
         self._items: dict[str, list[ScoredItem]] = {}
         #: track_id -> arrival counter (the cross-track tie-break).
         self._track_order: dict[str, int] = {}
@@ -227,7 +229,9 @@ class StandingAudit:
                     )
                 self._track_order.pop(track_id, None)
                 continue
-            items = Scorer(segment.compiled).rank(self.kind, self.filt)
+            items = Scorer(segment.compiled).rank(
+                self.kind, self.filt, self.top_k
+            )
             rescored += 1
             self.stats.items_rescored += len(items)
             if not items:

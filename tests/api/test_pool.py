@@ -349,6 +349,37 @@ class TestContentAddressedDispatch:
         finally:
             worker.stop()
 
+    def test_hot_scenes_never_reshipped_between_fresh_audits(self, api_fixy):
+        """The coordinator's mirror replays the worker's LRU order, so
+        a hot set reused on every other audit stays known however many
+        fresh scenes pass through the worker's cache in between."""
+        worker = TcpWorker(api_fixy, scene_cache=8)
+        try:
+            spec = AuditSpec(kind="tracks", top_k=5)
+            hot = [model_scene(f"hot-{i}", n_tracks=2) for i in range(4)]
+            backend = get_backend("remote", workers=[worker.address])
+            shipped = []
+            try:
+                for round_ in range(6):
+                    backend.run(api_fixy, spec, hot, None)
+                    reports = backend.provenance_extras()["workers"]
+                    shipped.append(
+                        sum(r["scene_cache_misses"] for r in reports)
+                    )
+                    assert sum(r["scene_cache_hits"] for r in reports) == (
+                        4 - shipped[-1]
+                    )
+                    fresh = [
+                        model_scene(f"fresh-{round_}-{i}", n_tracks=2)
+                        for i in range(2)
+                    ]
+                    backend.run(api_fixy, spec, fresh, None)
+            finally:
+                backend.close()
+            assert shipped == [4, 0, 0, 0, 0, 0]
+        finally:
+            worker.stop()
+
     def test_requeue_and_second_audit_reuse_encoded_payloads(
         self, api_fixy, tcp_workers, monkeypatch
     ):

@@ -28,6 +28,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_box(**{dim: value})
 
+    @pytest.mark.parametrize("dim", ["length", "width", "height"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_dimensions_rejected(self, dim, value):
+        with pytest.raises(ValueError, match="must be positive"):
+            make_box(**{dim: value})
+
+    def test_nonfinite_dimensions_rejected_from_dict(self):
+        data = make_box().to_dict()
+        data["width"] = float("nan")
+        with pytest.raises(ValueError):
+            box_from_dict(data)
+
     def test_yaw_wrapped_on_construction(self):
         box = make_box(yaw=3 * math.pi)
         assert -math.pi <= box.yaw < math.pi
