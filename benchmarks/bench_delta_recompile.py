@@ -1,26 +1,17 @@
-"""Serving-layer benchmarks: delta recompilation and process sharding (ISSUE 2).
+"""Serving-layer benchmark: delta recompilation (ISSUE 2).
 
-Asserts the streaming serving layer's acceptance floors:
-
-- editing 1 of ≥25 tracks through a
-  :class:`~repro.serving.session.SceneSession` (one-track segment
-  recompile + array splice) must be **≥5×** faster than a from-scratch
-  ``compile_scene`` of the same post-edit scene — and the spliced state
-  must still verify against the reference compile;
-- :class:`~repro.serving.sharded.ShardedRanker` (ProcessPoolExecutor,
-  ``Scene.to_dict`` transport, per-worker caches) must produce rankings
-  **byte-identical** to the in-process thread-pool path.
+Asserts the streaming serving layer's acceptance floor: editing 1 of
+≥25 tracks through a :class:`~repro.serving.session.SceneSession`
+(one-track segment recompile + array splice) must be **≥5×** faster
+than a from-scratch ``compile_scene`` of the same post-edit scene —
+and the spliced state must still verify against the reference compile.
 
 Run standalone::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_delta_recompile.py --benchmark-only -s
 """
 
-from repro.eval.serving_perf import (
-    delta_vs_full,
-    render_serving_report,
-    sharding_report,
-)
+from repro.eval.serving_perf import delta_vs_full, render_serving_report
 
 
 def test_delta_recompile_speedup_at_25_tracks(benchmark):
@@ -30,18 +21,6 @@ def test_delta_recompile_speedup_at_25_tracks(benchmark):
         rounds=1,
         iterations=1,
     )
-    print("\n" + render_serving_report(report, None))
+    print("\n" + render_serving_report(report))
     assert report["n_tracks"] >= 25
     assert report["speedup"] >= 5.0
-
-
-def test_sharded_ranking_byte_identical_to_threaded(benchmark):
-    report = benchmark.pedantic(
-        sharding_report,
-        kwargs={"n_scenes": 4, "n_objects": 20, "worker_counts": (1, 2)},
-        rounds=1,
-        iterations=1,
-    )
-    print("\n" + render_serving_report(None, report))
-    assert report["byte_identical"]
-    assert all(case["byte_identical"] for case in report["process_cases"])

@@ -42,12 +42,11 @@ def test_remote_v2_scales_with_workers(benchmark):
             "n_objects": 20,
             "worker_counts": (1, 2),
             "repeats": 3,
-            "wire": "v2",
         },
         rounds=1,
         iterations=1,
     )
-    print("\n" + render_serving_report(None, None, report))
+    print("\n" + render_serving_report(None, report))
     assert report["byte_identical"]
     one, two = report["worker_cases"]
     assert one["n_workers"] == 1 and two["n_workers"] == 2

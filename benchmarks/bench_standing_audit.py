@@ -27,7 +27,7 @@ def test_standing_maintenance_speedup_at_100_tracks(benchmark):
         rounds=1,
         iterations=1,
     )
-    print("\n" + render_serving_report(None, None, standing=report))
+    print("\n" + render_serving_report(None, standing=report))
     assert report["n_tracks"] >= 100
     assert report["byte_identical"]
     assert report["speedup"] >= 5.0

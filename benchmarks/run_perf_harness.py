@@ -3,8 +3,9 @@
 
 Runs the A/B compile+rank comparison (scalar reference vs columnar fast
 path, :mod:`repro.eval.perf`), the serving-layer measurements
-(incremental-vs-full recompile and 1-vs-N-process ranking throughput,
-:mod:`repro.eval.serving_perf`) and — unless ``--skip-pytest`` — the
+(incremental-vs-full recompile, 1-vs-N-worker remote audit throughput
+and standing-audit maintenance, :mod:`repro.eval.serving_perf`) and —
+unless ``--skip-pytest`` — the
 existing ``bench_scaling.py`` / ``bench_runtime.py`` pytest benchmarks,
 then writes everything to ``BENCH_scaling.json`` at the repo root so
 future PRs can track the perf trajectory::
@@ -24,7 +25,6 @@ The JSON layout::
       "ab": {...},            # repro.eval.perf.ab_compile_rank report
       "serving": {
         "delta_vs_full": {...},   # repro.eval.serving_perf.delta_vs_full
-        "sharding": {...},        # repro.eval.serving_perf.sharding_report
         "remote": {...},          # repro.eval.serving_perf.remote_report
         "standing_audit": {...},  # repro.eval.serving_perf.standing_report
         "gateway": {...},         # repro.eval.gateway_perf.gateway_report
@@ -123,19 +123,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--skip-serving", action="store_true",
-        help="skip the delta-recompile / process-sharding measurements",
+        help="skip the delta-recompile / remote / standing-audit "
+        "measurements",
     )
     parser.add_argument(
         "--delta-tracks", type=int, default=25,
         help="tracks in the delta-recompile scene (1 gets edited)",
     )
     parser.add_argument(
-        "--shard-scenes", type=int, default=6,
-        help="scenes ranked per path in the sharding comparison",
-    )
-    parser.add_argument(
-        "--shard-workers", type=int, nargs="+", default=[1, 2],
-        help="process counts to sweep in the sharding comparison",
+        "--remote-scenes", type=int, default=6,
+        help="scenes audited per path in the remote-backend comparison",
     )
     parser.add_argument(
         "--remote-workers", type=int, nargs="+", default=[1, 2],
@@ -173,12 +170,6 @@ def main(argv: list[str] | None = None) -> int:
         help="skip the async-gateway measurement",
     )
     parser.add_argument(
-        "--wire", choices=["auto", "v1", "v2"], default="auto",
-        help="wire format for the remote comparison: auto (negotiated), "
-        "v1 (line-JSON), v2 (require binary frames + content-addressed "
-        "scenes — what CI smokes)",
-    )
-    parser.add_argument(
         "--max-overhead", type=float, default=0.05,
         help="tolerated fractional slowdown of warm remote throughput "
         "vs the committed BENCH_scaling.json baseline (default 0.05)",
@@ -199,8 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         args.repeats = 1
         args.skip_pytest = True
         args.delta_tracks = 8
-        args.shard_scenes = 2
-        args.shard_workers = [1]
+        args.remote_scenes = 2
         args.remote_workers = [2]
         args.standing_tracks = 30
         args.standing_edits = 10
@@ -232,34 +222,26 @@ def main(argv: list[str] | None = None) -> int:
             delta_vs_full,
             remote_report,
             render_serving_report,
-            sharding_report,
             standing_report,
         )
 
         delta = delta_vs_full(
             n_tracks=args.delta_tracks, repeats=max(1, args.repeats)
         )
-        sharding = sharding_report(
-            n_scenes=args.shard_scenes,
-            worker_counts=tuple(args.shard_workers),
-            repeats=max(1, args.repeats),
-        )
         remote = remote_report(
-            n_scenes=args.shard_scenes,
+            n_scenes=args.remote_scenes,
             worker_counts=tuple(args.remote_workers),
             repeats=max(1, args.repeats),
-            wire=args.wire,
         )
         standing = standing_report(
             n_tracks=args.standing_tracks, n_edits=args.standing_edits
         )
         report["serving"] = {
             "delta_vs_full": delta,
-            "sharding": sharding,
             "remote": remote,
             "standing_audit": standing,
         }
-        print(render_serving_report(delta, sharding, remote, standing))
+        print(render_serving_report(delta, remote, standing))
 
     if not args.skip_gateway:
         from repro.eval.gateway_perf import (
@@ -335,7 +317,7 @@ def merge_unrun_sections(report: dict, baseline: dict | None) -> dict:
     history. Instead: any top-level section missing from this run is
     copied from the committed file, and the ``serving`` dict merges at
     the subsection level (a gateway-only rerun must not drop the
-    committed sharding/remote numbers). Freshly measured keys always
+    committed delta/remote numbers). Freshly measured keys always
     win; ``generated_at`` is always this run's.
     """
     if not baseline:

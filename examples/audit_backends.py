@@ -1,10 +1,11 @@
-"""One declarative AuditSpec, four execution backends, one answer.
+"""One declarative AuditSpec, three execution backends, one answer.
 
 The unified audit API (repro.api) separates *what* to audit from *how*
 to run it. This example declares a single missing-label audit as an
 AuditSpec, round-trips it through JSON (it is pure data — ship it, log
-it, diff it), then executes it on every registered backend and shows
-the rankings are byte-identical, with provenance telling the strategies
+it, diff it), then executes it on every registered backend — the
+``remote`` one over two in-process TCP workers — and shows the
+rankings are byte-identical, with provenance telling the strategies
 apart. Finally the same spec goes through the versioned wire protocol
 via the in-repo client — the exact path a remote front end would take.
 
@@ -20,6 +21,7 @@ from repro.api import (
     available_backends,
 )
 from repro.datasets import SYNTHETIC_INTERNAL, build_dataset
+from repro.serving.tcp import TcpWorker
 
 # ---------------------------------------------------------------------------
 # 1. Declare the audit. No engine objects, no callables — data only.
@@ -45,26 +47,37 @@ scenes = [ls.scene for ls in dataset.val_scenes]
 
 # ---------------------------------------------------------------------------
 # 3. Execute on every backend. Same spec, same scenes, same ranking —
-#    the backend is a deployment choice, not a results choice.
+#    the backend is a deployment choice, not a results choice. The
+#    remote backend needs workers: two in-process TCP workers serving
+#    the same fitted model.
 # ---------------------------------------------------------------------------
+workers = [TcpWorker(audit.fixy) for _ in range(2)]
+options = {"remote": {"workers": [w.address for w in workers]}}
 reference = None
-for backend in available_backends():
-    result = audit.run(scenes=scenes, backend=backend)
-    signature = [(s.track_id, s.score) for s in result.items]
-    if reference is None:
-        reference = signature
-    assert signature == reference, f"{backend} diverged from inline!"
-    timing = 1e3 * result.provenance.timings["rank_s"]
-    print(
-        f"{backend:<10s} {len(result.items):2d} items in {timing:7.1f} ms  "
-        f"(model {result.provenance.model_fingerprint[:12]})"
-    )
-print("rankings byte-identical across backends\n")
-audit.close()  # releases the sharded backend's process pool
+try:
+    for backend in available_backends():
+        result = audit.run(
+            scenes=scenes, backend=backend, **options.get(backend, {})
+        )
+        signature = [(s.track_id, s.score) for s in result.items]
+        if reference is None:
+            reference = signature
+        assert signature == reference, f"{backend} diverged from inline!"
+        timing = 1e3 * result.provenance.timings["rank_s"]
+        print(
+            f"{backend:<10s} {len(result.items):2d} items in "
+            f"{timing:7.1f} ms  "
+            f"(model {result.provenance.model_fingerprint[:12]})"
+        )
+    print("rankings byte-identical across backends\n")
+finally:
+    audit.close()  # releases the remote backend's worker pool
+    for worker in workers:
+        worker.stop()
 
 # ---------------------------------------------------------------------------
 # 4. The same spec over the versioned client/service protocol — what a
-#    remote worker front end will speak (protocol v1, structured errors).
+#    remote worker front end speaks (structured errors).
 # ---------------------------------------------------------------------------
 client = AuditClient.local(audit.fixy)
 remote_result = client.audit(spec, scenes=scenes)

@@ -52,7 +52,7 @@ print(f"model saved: {model_path} "
 def launch_worker() -> subprocess.Popen:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
-         "--model", str(model_path), "--listen", "127.0.0.1:0", "--strict"],
+         "--model", str(model_path), "--listen", "127.0.0.1:0"],
         stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": "src"},

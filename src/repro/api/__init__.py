@@ -2,7 +2,7 @@
 
 This package is the system's front door. The batch engine
 (:class:`repro.core.Fixy`), the streaming serving layer
-(:mod:`repro.serving`), and the process shards are *implementations*;
+(:mod:`repro.serving`), and the remote worker pool are *implementations*;
 what a user holds is:
 
 - :class:`AuditSpec` (:mod:`repro.api.spec`) — the declarative audit:
@@ -12,7 +12,7 @@ what a user holds is:
   binds it to a fitted engine, and executes it on any registered
   backend;
 - the backend registry (:mod:`repro.api.backends`) — ``inline``,
-  ``threaded``, ``sharded``, ``session``, and ``remote``
+  ``session``, and ``remote``
   (:mod:`repro.api.remote` over a :class:`WorkerPool` of TCP
   workers), all returning byte-identical rankings for the same spec
   (property-tested), so strategy is a deployment choice, not an API

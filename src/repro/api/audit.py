@@ -11,14 +11,14 @@
     )
     audit = Audit(spec, train_scenes=historical_scenes)
     result = audit.run(scenes=new_scenes)                  # spec default
-    same = audit.run(scenes=new_scenes, backend="sharded") # same ranking
+    same = audit.run(scenes=new_scenes, backend="session") # same ranking
 
 Binding (``Audit(...)``) validates the spec, resolves the engine (an
 existing fitted :class:`~repro.core.Fixy`, a saved model from
 ``spec.model_path``, or a fresh fit on training scenes), and warms the
 engine's density grids so every backend evaluates the same accelerated
 densities — the precondition for byte-identical rankings across
-backends (see :mod:`repro.serving.sharded`). Running executes on any
+backends. Running executes on any
 registered backend and returns a typed
 :class:`~repro.api.result.AuditResult` with provenance.
 """
@@ -73,8 +73,8 @@ class Audit:
         # Compile (and thereby validate) the filter once at bind time.
         self._filter = self.spec.compile_filter()
         #: (backend name, sorted options) -> live executor, so repeated
-        #: runs reuse heavy resources (the sharded process pool) instead
-        #: of respawning per call. Released by close().
+        #: runs reuse heavy resources (the remote worker pool) instead
+        #: of reconnecting per call. Released by close().
         self._executors: dict = {}
 
     def _build_engine(self, train_scenes):
@@ -220,11 +220,12 @@ class Audit:
     def _executor(self, name: str, options: dict):
         """A (possibly cached) backend executor for this audit.
 
-        Heavy backends hold real resources — the sharded backend owns a
-        process pool — so repeated runs against the same backend reuse
-        one executor instead of respawning per call. Options with
-        unhashable values skip the cache (constructed fresh each run,
-        released on the next :meth:`close`... immediately below).
+        Heavy backends hold real resources — the remote backend owns a
+        registered worker pool — so repeated runs against the same
+        backend reuse one executor instead of reconnecting per call.
+        Options with unhashable values skip the cache (constructed fresh
+        each run, released on the next :meth:`close`... immediately
+        below).
         """
         try:
             key = (

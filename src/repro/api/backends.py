@@ -3,19 +3,13 @@
 A backend is *how* a validated spec runs, nothing more: every backend
 receives the same fitted engine, the same scenes, and the same compiled
 filter, and must return the same ranking — byte-identical, which the
-``tests/api`` property suite asserts across all five (the ``remote``
+``tests/api`` property suite asserts across all three (the ``remote``
 backend lives in :mod:`repro.api.remote` and registers itself here):
 
 ========== ==========================================================
 name       strategy
 ========== ==========================================================
 inline     serial per-scene compile + rank in the calling thread
-threaded   the engine's ``concurrent.futures`` thread pool
-           (``n_jobs`` option; NumPy releases the GIL in the batch
-           kernels)
-sharded    :class:`~repro.serving.sharded.ShardedRanker` process pool
-           (``n_workers``/``cache_size``/``start_method`` options;
-           filters must be picklable — FilterSpec compiles to one)
 session    one incremental :class:`~repro.serving.session.SceneSession`
            per scene, served through a standing-audit subscription
            (``standing`` option, default true; false = the spliced
@@ -39,8 +33,6 @@ __all__ = [
     "ExecutionBackend",
     "InlineBackend",
     "SessionBackend",
-    "ShardedBackend",
-    "ThreadedBackend",
     "UnknownBackendError",
     "available_backends",
     "get_backend",
@@ -113,7 +105,7 @@ class ExecutionBackend:
 
     Subclasses implement :meth:`run`; options arrive as constructor
     kwargs (from ``AuditSpec.backend_options`` plus per-run overrides).
-    Backends may hold resources (process pools); callers must
+    Backends may hold resources (the remote worker pool); callers must
     :meth:`close` them — :class:`repro.api.Audit` does, via
     try/finally, and backends are context managers for direct use.
     """
@@ -235,69 +227,6 @@ class InlineBackend(ExecutionBackend):
             "compile_cold": compile_cold,
             "compile_warm": compile_warm,
         }
-
-
-@register_backend("threaded")
-class ThreadedBackend(ExecutionBackend):
-    """The engine's multi-scene thread pool (``n_jobs`` option).
-
-    ``n_jobs=0`` (default) lets the engine pick a small automatic
-    pool; any positive value pins the worker count.
-    """
-
-    def __init__(self, n_jobs: int | None = 0):
-        self.n_jobs = n_jobs
-
-    def run(self, fixy, spec, scenes, filt) -> list[ScoredItem]:
-        return fixy.rank(
-            scenes, spec.kind, filt, top_k=spec.top_k, n_jobs=self.n_jobs
-        )
-
-
-@register_backend("sharded")
-class ShardedBackend(ExecutionBackend):
-    """Process-pool execution via :class:`~repro.serving.sharded.ShardedRanker`.
-
-    The pool is created lazily on first :meth:`run` (so constructing
-    the backend is cheap) and bound to that engine; :meth:`close`
-    shuts it down. Filters must be picklable — the declarative
-    :class:`~repro.api.spec.FilterSpec` compiles to one.
-    """
-
-    def __init__(
-        self,
-        n_workers: int = 2,
-        cache_size: int = 8,
-        start_method: str | None = None,
-    ):
-        self.n_workers = n_workers
-        self.cache_size = cache_size
-        self.start_method = start_method
-        self._ranker = None
-        self._fixy = None
-
-    def run(self, fixy, spec, scenes, filt) -> list[ScoredItem]:
-        from repro.serving.sharded import ShardedRanker
-
-        if self._ranker is not None and self._fixy is not fixy:
-            # A ranker snapshots one engine's model at construction;
-            # a different engine needs a fresh pool.
-            self.close()
-        if self._ranker is None:
-            self._ranker = ShardedRanker(
-                fixy,
-                n_workers=self.n_workers,
-                cache_size=self.cache_size,
-                start_method=self.start_method,
-            )
-            self._fixy = fixy
-        return self._ranker.rank(scenes, spec.kind, filt, top_k=spec.top_k)
-
-    def close(self) -> None:
-        if self._ranker is not None:
-            self._ranker.close()
-            self._ranker = None
-            self._fixy = None
 
 
 @register_backend("session")

@@ -1,7 +1,7 @@
 """AuditClient: the in-repo Python client for the serving protocol.
 
-Speaks protocol v1 (:mod:`repro.api.protocol`) over any transport that
-maps a request dict to a response dict:
+Speaks the versioned protocol (:mod:`repro.api.protocol`) over any
+transport that maps a request dict to a response dict:
 
 - :meth:`AuditClient.local` — in-process, directly onto a
   :class:`~repro.serving.service.StreamingService` (no serialization
@@ -20,9 +20,7 @@ maps a request dict to a response dict:
 
 Every client speaks one protocol version per connection (``version=``;
 default the build's :data:`~repro.api.protocol.PROTOCOL_VERSION`) and
-requires the server to answer in kind — the worker pool connects to a
-worker at the version its ``hello`` negotiated, which is how a v2
-coordinator keeps driving v1-only workers.
+requires the server to answer in kind.
 
 Failures come back as :class:`~repro.api.protocol.ProtocolError` with
 the server's structured code — a typo'd rank kind raises the same
@@ -347,7 +345,7 @@ class AuditClient:
                 error.get("message", "unknown error"),
                 details=error.get("details"),
             )
-        # A v0 (string) error from a legacy server.
+        # Not a structured error object: the server broke the protocol.
         raise protocol.ProtocolError(protocol.INTERNAL_ERROR, str(error))
 
     # ------------------------------------------------------------------

@@ -5,12 +5,10 @@ canonically ``python -m repro.cli serve --listen HOST:PORT``. The pool
 turns a list of worker addresses into a distributed executor:
 
 1. **Register** (:meth:`WorkerPool.connect`): each endpoint answers the
-   ``hello`` op (sent at the baseline v1 dialect every deployed worker
-   speaks) with its protocol version, model fingerprint, capacity, and
-   wire formats. The pool then talks to each worker at the *negotiated*
-   version — ``min(worker, ours)`` — so one pool drives v1-only and v2
-   workers side by side. A version with no common dialect or a
-   fingerprint that differs from the coordinator's model is fatal
+   ``hello`` op (sent at the baseline v1 dialect every worker speaks)
+   with its protocol version, model fingerprint, capacity, and wire
+   formats. A worker that does not advertise the v2 framed wire, or
+   whose fingerprint differs from the coordinator's model, is fatal
    (``unsupported_version`` / ``model_mismatch``) — a pool never mixes
    models, because byte-identical rankings are the contract.
    Unreachable workers are recorded as unhealthy and skipped.
@@ -27,18 +25,17 @@ turns a list of worker addresses into a distributed executor:
    partition order preserve exactly the inline scene order.
 4. **Dispatch**: each partition streams to its worker as a sequence of
    scene *chunks* over one dedicated connection (so requeued partitions
-   never interleave frames on a shared socket). Against a v2 worker the
-   chunks ride the binary framed wire, content-addressed: the request
+   never interleave frames on a shared socket). The chunks ride the v2
+   binary framed wire, content-addressed: the request
    names ``scene_hashes`` and carries packed bodies only for hashes the
    coordinator has not yet shipped to that worker; the worker answers
    ``need`` for anything its cache evicted, and only those bodies are
    resent — a warm audit of the same scenes ships ids, not bodies.
    Chunks are pipelined (up to ``pipeline`` requests in flight), so
    coordinator-side encoding of chunk *i+1* overlaps worker-side
-   ranking of chunk *i*. Against a v1 worker the same chunks travel as
-   classic line-JSON ``audit`` requests. Either way the encoded payload
-   per scene — dict, packed bytes, content hash — is computed once and
-   cached (:class:`_ScenePayloads`), so a requeued partition (and the
+   ranking of chunk *i*. The encoded payload per scene — packed bytes
+   and content hash — is computed once and cached
+   (:class:`_ScenePayloads`), so a requeued partition (and the
    next audit of the same scenes) reuses bytes instead of re-encoding.
    A worker that dies mid-partition — EOF, refused connection,
    timeout — is retired and its *unfinished* chunks are requeued onto
@@ -46,9 +43,8 @@ turns a list of worker addresses into a distributed executor:
    pool raise ``worker_unavailable``.
 5. **Merge**: per-chunk rankings (each already merged and truncated
    worker-side) are merged once more in global chunk order with the
-   coordinator's ``top_k`` — the same multi-level merge the sharded
-   backend uses, and provably equal to the single global merge because
-   chunks are contiguous sub-ranges in scene order.
+   coordinator's ``top_k`` — provably equal to the single global merge
+   because chunks are contiguous sub-ranges in scene order.
 
 The pool reports per-worker attribution (address, partition, scenes,
 seconds, attempts, wire format, bytes on the wire, encode time, and
@@ -126,19 +122,14 @@ _REFILLS = obs_metrics.counter(
     "Chunk body refills after a worker answered `need`",
 )
 
-#: Wire preferences a pool accepts: negotiate per worker ("auto"),
-#: force classic line-JSON ("v1"), or require the framed wire ("v2").
-WIRE_MODES = ("auto", "v1", "v2")
-
-
 class _ScenePayloads:
-    """Encoded-payload cache: one dict / packed-bytes / hash per scene.
+    """Encoded-payload cache: one packed-bytes / hash pair per scene.
 
     Keyed by scene object identity (guarded by a weakref so a recycled
     ``id()`` can never alias a dead scene), computed lazily, bounded
     LRU. This is what makes a requeued partition — and the next audit
-    of the same scene list — reuse bytes instead of calling
-    ``Scene.to_dict()`` + encode again.
+    of the same scene list — reuse bytes instead of packing and
+    hashing again.
     """
 
     def __init__(self, maxsize: int = 4096):
@@ -152,26 +143,11 @@ class _ScenePayloads:
         if entry is not None and entry["ref"]() is scene:
             self._entries.move_to_end(key)
             return entry
-        entry = {
-            "ref": weakref.ref(scene),
-            "dict": None,
-            "packed": None,
-            "hash": None,
-        }
+        entry = {"ref": weakref.ref(scene), "packed": None, "hash": None}
         self._entries[key] = entry
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return entry
-
-    def dict_for(self, scene) -> dict:
-        with self._lock:
-            entry = self._entry(scene)
-            payload = entry["dict"]
-        if payload is None:
-            payload = scene.to_dict()  # encode outside the lock
-            with self._lock:
-                entry["dict"] = payload
-        return payload
 
     def packed_for(self, scene) -> tuple[bytes, str]:
         """``(packed bytes, content hash)`` for one scene."""
@@ -179,7 +155,7 @@ class _ScenePayloads:
             entry = self._entry(scene)
             packed, fingerprint = entry["packed"], entry["hash"]
         if packed is None:
-            packed = frames.pack_scene(scene)
+            packed = frames.pack_scene(scene)  # encode outside the lock
             fingerprint = frames.scene_fingerprint(packed)
             with self._lock:
                 entry["packed"], entry["hash"] = packed, fingerprint
@@ -202,7 +178,7 @@ class WorkerEndpoint:
       sees a transport failure; unhealthy workers get no partitions
       (until :meth:`WorkerPool.reprobe` re-admits them);
     - ``protocol_version`` / ``wire_formats``: the negotiated dialect
-      and the wire the worker can speak (v2 workers advertise
+      and the wires the worker advertises (registration requires
       ``"frames"``);
     - a bounded mirror of which scene hashes this worker should
       already hold (:meth:`knows` / :meth:`remember`), sized to the
@@ -242,7 +218,6 @@ class WorkerEndpoint:
         # a second concurrent dispatch to the same worker (a requeued
         # partition) gets an ad-hoc connection instead of blocking.
         self._cached_client: AuditClient | None = None
-        self._cached_wire: str | None = None
         self._client_lock = threading.Lock()
 
     @property
@@ -262,7 +237,7 @@ class WorkerEndpoint:
 
     @property
     def supports_frames(self) -> bool:
-        """Whether dispatch may use the v2 framed wire on this worker."""
+        """Whether the worker speaks the v2 framed wire dispatch uses."""
         return self.protocol_version >= 2 and "frames" in self.wire_formats
 
     @property
@@ -300,16 +275,14 @@ class WorkerEndpoint:
             if fingerprint not in shipped:
                 self.remember(fingerprint)
 
-    def client(self, probe: bool = False, wire: str = "json") -> AuditClient:
+    def client(self, probe: bool = False) -> AuditClient:
         """A fresh connection to this worker (caller closes it).
 
-        ``probe`` connections use the short ``probe_timeout`` deadline
-        and the baseline protocol version (hello/health must answer
-        fast and must work against workers whose version is still
-        unknown); audit dispatches get the (possibly unbounded)
-        ``timeout`` and the endpoint's negotiated version. Pass
-        ``wire="frames"`` for the v2 binary wire (only when
-        :attr:`supports_frames`).
+        ``probe`` connections are line-JSON at the baseline protocol
+        version with the short ``probe_timeout`` deadline (hello/health
+        must answer fast and must work against workers whose version
+        is still unknown); dispatch connections speak the v2 framed
+        wire with the (possibly unbounded) ``timeout``.
         """
         if probe:
             return AuditClient.connect(
@@ -322,11 +295,10 @@ class WorkerEndpoint:
             (self.host, self.port),
             timeout=self.timeout,
             connect_timeout=self.connect_timeout,
-            wire=wire,
-            version=self.protocol_version,
+            wire="frames",
         )
 
-    def lease(self, wire: str) -> tuple[AuditClient, bool, bool]:
+    def lease(self) -> tuple[AuditClient, bool, bool]:
         """A dispatch connection: the persistent one when free, else a
         fresh ad-hoc one. Returns ``(client, leased, reused)`` —
         ``reused`` means the client predates this lease, so a
@@ -336,20 +308,16 @@ class WorkerEndpoint:
         the endpoint. Always pair with :meth:`release`."""
         if self._client_lock.acquire(blocking=False):
             client = self._cached_client
-            reused = client is not None and self._cached_wire == wire
+            reused = client is not None
             if not reused:
-                if client is not None:
-                    client.close()
-                    self._cached_client = None
                 try:
-                    client = self.client(wire=wire)
+                    client = self.client()
                 except BaseException:
                     self._client_lock.release()
                     raise
                 self._cached_client = client
-                self._cached_wire = wire
             return client, True, reused
-        return self.client(wire=wire), False, False
+        return self.client(), False, False
 
     def release(self, client: AuditClient, leased: bool, ok: bool) -> None:
         """Return a leased/ad-hoc connection (drop it on failure)."""
@@ -375,29 +343,32 @@ class WorkerEndpoint:
         """``hello`` the worker and validate what it advertises.
 
         Raises :class:`~repro.api.protocol.ProtocolError` with
-        ``unsupported_version`` for a protocol we share no dialect
-        with and ``model_mismatch`` when ``expected_fingerprint``
-        (pass ``None`` to require an unfitted worker; the default
-        ``...`` skips the check) differs from the worker's model.
+        ``unsupported_version`` for a worker that does not speak the
+        v2 framed wire and ``model_mismatch`` when
+        ``expected_fingerprint`` (pass ``None`` to require an unfitted
+        worker; the default ``...`` skips the check) differs from the
+        worker's model.
         Transport failures propagate as typed
         :class:`~repro.api.protocol.TransportError`.
         """
         with self.client(probe=True) as client:
             info = client.hello()
         # The worker's ceiling: ``max_protocol_version`` (additive, v2+
-        # workers), falling back to ``protocol_version`` (all a PR-4
+        # workers), falling back to ``protocol_version`` (all a v1
         # worker reports — and which v2 workers mirror at the request's
-        # version so PR-4 *coordinators* keep accepting them).
+        # version so v1 coordinators keep accepting them).
         version = info.get("max_protocol_version", info.get("protocol_version"))
         try:
             negotiated = min(int(version), protocol.PROTOCOL_VERSION)
         except (TypeError, ValueError):
             negotiated = None
-        if negotiated not in protocol.SUPPORTED_VERSIONS:
+        wire_formats = tuple(info.get("wire_formats") or ("json",))
+        if not negotiated or negotiated < 2 or "frames" not in wire_formats:
             raise protocol.ProtocolError(
                 protocol.UNSUPPORTED_VERSION,
-                f"worker {self.address} speaks protocol {version!r}; this "
-                f"pool speaks {protocol.PROTOCOL_VERSION}",
+                f"worker {self.address} speaks protocol {version!r} over "
+                f"{list(wire_formats)}; a pool dispatches over the v2 "
+                "framed wire",
                 details={"worker": self.address},
             )
         if expected_fingerprint is not ...:
@@ -417,7 +388,7 @@ class WorkerEndpoint:
                 )
         self.info = info
         self.protocol_version = negotiated
-        self.wire_formats = tuple(info.get("wire_formats") or ("json",))
+        self.wire_formats = wire_formats
         self._known_limit = max(1, int(info.get("scene_cache") or 0) or 256)
         # A (re)registered worker may be a fresh process: assume its
         # scene cache is empty and let `need` replies heal the rest.
@@ -507,10 +478,6 @@ class WorkerPool:
         probe_timeout: Deadline for hello/health probes, always
             bounded so a wedged-but-accepting worker is skipped at
             registration instead of hanging the pool.
-        wire: ``"auto"`` (v2 frames for workers that advertise them,
-            line-JSON for the rest — the mixed-pool default), ``"v1"``
-            (force line-JSON everywhere), or ``"v2"`` (require the
-            framed wire; a worker without it fails registration).
         chunk_scenes: Scenes per dispatch request (0 = one request per
             partition). Smaller chunks pipeline encode against worker
             compute and requeue less work when a worker dies.
@@ -531,16 +498,11 @@ class WorkerPool:
         timeout: float | None = None,
         connect_timeout: float | None = 5.0,
         probe_timeout: float | None = 10.0,
-        wire: str = "auto",
         chunk_scenes: int = 8,
         pipeline: int = 2,
         reprobe_interval: float = 10.0,
         capacity_refresh: float = 30.0,
     ):
-        if wire not in WIRE_MODES:
-            raise TypeError(
-                f"wire must be one of {WIRE_MODES}, got {wire!r}"
-            )
         self.endpoints = [
             w
             if isinstance(w, WorkerEndpoint)
@@ -554,7 +516,6 @@ class WorkerPool:
         ]
         if not self.endpoints:
             raise ValueError("WorkerPool needs at least one worker address")
-        self.wire = wire
         self.chunk_scenes = max(0, int(chunk_scenes))
         self.pipeline = max(1, int(pipeline))
         self.reprobe_interval = max(0.0, float(reprobe_interval))
@@ -574,11 +535,10 @@ class WorkerPool:
         """Register every reachable worker; returns their hello payloads.
 
         Unreachable workers are marked unhealthy and skipped — the pool
-        degrades, it does not fail — but a *reachable* worker with the
-        wrong protocol version, missing v2 support under ``wire="v2"``,
-        or the wrong model fingerprint raises immediately (that is a
-        deployment error, not an outage). Raises ``worker_unavailable``
-        when no worker registered at all.
+        degrades, it does not fail — but a *reachable* worker without
+        the v2 framed wire or with the wrong model fingerprint raises
+        immediately (that is a deployment error, not an outage).
+        Raises ``worker_unavailable`` when no worker registered at all.
         """
         self._expected_fingerprint = expected_fingerprint
         infos = []
@@ -591,7 +551,6 @@ class WorkerPool:
                     time.monotonic() + self.reprobe_interval
                 )
                 continue
-            self._require_wire(endpoint)
         if not infos:
             raise protocol.ProtocolError(
                 protocol.WORKER_UNAVAILABLE,
@@ -602,16 +561,6 @@ class WorkerPool:
             )
         return infos
 
-    def _require_wire(self, endpoint: WorkerEndpoint) -> None:
-        if self.wire == "v2" and not endpoint.supports_frames:
-            raise protocol.ProtocolError(
-                protocol.UNSUPPORTED_VERSION,
-                f"worker {endpoint.address} does not support the v2 "
-                "framed wire required by wire='v2' (it advertises "
-                f"{list(endpoint.wire_formats)})",
-                details={"worker": endpoint.address},
-            )
-
     def reprobe(self) -> list[str]:
         """Re-``hello`` retired endpoints; re-admit the matching ones.
 
@@ -619,7 +568,7 @@ class WorkerPool:
         top of every :meth:`audit`, so a worker that died and was
         restarted rejoins the pool without a rebuild — *if* it answers
         with a model fingerprint matching the one this pool registered
-        against (and the required wire). Ones that stay unreachable or
+        against (and the framed wire). Ones that stay unreachable or
         come back wrong stay retired, with ``last_error`` updated.
         A probe that *fails* parks the endpoint for
         ``reprobe_interval`` seconds, so an endpoint that stays dead
@@ -636,7 +585,6 @@ class WorkerPool:
                 continue  # recently failed a probe: leave it parked
             try:
                 endpoint.register(self._expected_fingerprint)
-                self._require_wire(endpoint)
             except protocol.TransportError as exc:
                 endpoint.mark_failed(str(exc))
                 endpoint._next_probe_at = now + self.reprobe_interval
@@ -911,20 +859,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Per-worker dispatch (one attempt over one dedicated connection)
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, worker, spec_payload, chunk_jobs, blocks,
-        trace=None, parent_span=None, warehouse=None,
-    ) -> dict:
-        if worker.supports_frames and self.wire != "v1":
-            return self._dispatch_framed(
-                worker, spec_payload, chunk_jobs, blocks,
-                trace=trace, parent_span=parent_span, warehouse=warehouse,
-            )
-        return self._dispatch_json(
-            worker, spec_payload, chunk_jobs, blocks,
-            trace=trace, parent_span=parent_span, warehouse=warehouse,
-        )
-
     @staticmethod
     def _stitch_spans(trace, parent_span, response) -> None:
         """Merge a worker's piggybacked spans under the dispatch span."""
@@ -932,77 +866,16 @@ class WorkerPool:
         if trace is not None and spans:
             trace.extend_dicts(spans, reparent_roots_to=parent_span)
 
-    def _dispatch_json(
-        self, worker, spec_payload, chunk_jobs, blocks,
-        trace=None, parent_span=None, warehouse=None,
-    ) -> dict:
-        """v1 line-JSON: one ``audit`` request per chunk, serially.
-
-        With ``warehouse``, chunk items are fingerprints: each chunk's
-        scenes are fetched, shipped, and dropped before the next — the
-        v1 fallback stays within the out-of-core residency budget.
-        """
-        stats = {
-            "wire": "v1",
-            "n_chunks": len(chunk_jobs),
-            "encode_s": 0.0,
-            "scene_cache_hits": 0,
-            "scene_cache_misses": 0,
-        }
-        client, leased, reused = worker.lease(wire="json")
-        # Trace fields are additive and v2-only: a v1-negotiated worker
-        # would ignore them anyway, so don't widen its requests.
-        trace_id = (
-            trace.trace_id
-            if trace is not None and client.version >= 2
-            else None
-        )
-        bytes_before = client.bytes_sent
-        received_before = client.bytes_received
-        ok = False
-        try:
-            for block_slot, chunk in chunk_jobs:
-                encode = Stopwatch()
-                if warehouse is not None:
-                    payloads = [warehouse.get(fp).to_dict() for fp in chunk]
-                else:
-                    payloads = [self._payloads.dict_for(s) for s in chunk]
-                stats["encode_s"] += encode.s
-                response = client.request(
-                    "audit",
-                    spec=spec_payload,
-                    scenes=payloads,
-                    trace_id=trace_id,
-                    parent_span=parent_span if trace_id else None,
-                )
-                self._stitch_spans(trace, parent_span, response)
-                result = AuditResult.from_dict(response["result"])
-                blocks[block_slot] = result.items
-            stats["bytes_sent"] = client.bytes_sent - bytes_before
-            ok = True
-        except protocol.TransportError as exc:
-            exc.reused_connection = reused
-            raise
-        finally:
-            worker.release(client, leased, ok)
-        _ENCODE_SECONDS.inc(stats["encode_s"])
-        _CHUNKS.inc(stats["n_chunks"], wire="v1")
-        _BYTES_SENT.inc(stats["bytes_sent"], wire="v1")
-        _BYTES_RECEIVED.inc(
-            client.bytes_received - received_before, wire="v1"
-        )
-        return stats
-
     #: Times one chunk may be answered with ``need`` before the pool
     #: declares the worker's cache broken (refusing what it was just
     #: sent is a protocol violation, not an outage).
     MAX_REFILLS = 3
 
-    def _dispatch_framed(
+    def _dispatch(
         self, worker, spec_payload, chunk_jobs, blocks,
         trace=None, parent_span=None, warehouse=None,
     ) -> dict:
-        """v2 frames: content-addressed chunks, pipelined on one socket.
+        """One attempt: content-addressed chunks, pipelined on one socket.
 
         With ``warehouse``, chunk items are fingerprints and no scene
         is ever decoded coordinator-side: workers sharing the warehouse
@@ -1019,7 +892,7 @@ class WorkerPool:
             "scene_cache_hits": 0,
             "scene_cache_misses": 0,
         }
-        client, leased, reused = worker.lease(wire="frames")
+        client, leased, reused = worker.lease()
         trace_id = trace.trace_id if trace is not None else None
         trace_fields = (
             {"trace_id": trace_id, "parent_span": parent_span}

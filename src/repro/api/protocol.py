@@ -21,14 +21,11 @@ Rules:
 - ``"ok"`` is always present on responses; failures carry a structured
   ``error`` object with a machine-readable ``code`` from
   :data:`ERROR_CODES` (never a bare string);
-- unknown versions are rejected with ``unsupported_version`` — the
-  server never guesses what a future client meant;
-- version-less requests are the pre-versioning (v0) dialect. By
-  default the server still accepts them through a deprecation shim —
-  responding in kind, with string errors and no ``"v"`` — and emits a
-  :class:`DeprecationWarning`; strict servers
-  (``StreamingService(accept_legacy=False)``, ``cli serve --strict``)
-  reject them with ``unsupported_version``.
+- unknown versions — and requests with no ``"v"`` at all — are
+  rejected with ``unsupported_version``, stamped with the server's own
+  version: the server never guesses what a client meant;
+- a line that does not decode as JSON is answered with ``bad_json``,
+  stamped the same way (it has no version to answer in).
 
 Introduced at protocol version 1 (additions are strictly additive): the
 ``hello``/``health`` ops register and monitor workers for distributed
@@ -75,14 +72,14 @@ Additive extension — **load shedding**: a serving front with an
 admission layer (:mod:`repro.serving.gateway`) may answer a request it
 chose not to execute with the ``overloaded`` code instead of stalling;
 the request is retryable by construction, ``details`` carries the
-queueing state, and v0/v1 peers receive it in their own dialect like
-any other structured error. Raised client-side as
+queueing state, and v1 peers receive it in their own version like any
+other structured error. Raised client-side as
 :class:`OverloadedError`.
 
 The v2 *JSON dialect* is otherwise identical to v1, and servers answer
-every request in the version it was asked in — a v1-only peer keeps
-working against a v2 build, which is how mixed-version worker pools
-stay live through a rolling upgrade.
+every request in the version it was asked in — a v1 client keeps
+working against a v2 build. A worker pool dispatches over the v2
+framed wire only, so every worker in a pool must advertise it.
 
 Typed failures cross the boundary as codes:
 :class:`~repro.core.scoring.UnknownRankKindError` →
@@ -94,14 +91,11 @@ lives in :func:`classify_exception` so client and server agree forever.
 
 from __future__ import annotations
 
-import warnings
-
 from repro.core.scoring import UnknownRankKindError
 
 __all__ = [
     "BASELINE_VERSION",
     "ERROR_CODES",
-    "LEGACY_VERSION",
     "PROTOCOL_VERSION",
     "SUPPORTED_VERSIONS",
     "FrameDecodeError",
@@ -123,12 +117,8 @@ __all__ = [
 #: content-addressed scene transport; the JSON dialect is unchanged).
 PROTOCOL_VERSION = 2
 
-#: The version-less, pre-versioning dialect (string errors, no "v").
-LEGACY_VERSION = 0
-
-#: The oldest versioned dialect every deployed peer speaks — what a
-#: coordinator uses to ``hello`` a worker whose version it does not
-#: know yet.
+#: The oldest dialect every peer speaks — what a coordinator uses to
+#: ``hello`` a worker whose version it does not know yet.
 BASELINE_VERSION = 1
 
 #: Versions this server answers in their own dialect (ascending).
@@ -294,44 +284,27 @@ def error_response(
 # ---------------------------------------------------------------------------
 # Version negotiation
 # ---------------------------------------------------------------------------
-def negotiate_version(
-    request: dict,
-    accept_legacy: bool = True,
-    supported: tuple[int, ...] | None = None,
-) -> int:
-    """The dialect to answer ``request`` in.
+def negotiate_version(request: dict) -> int:
+    """The dialect to answer ``request`` in: its own ``"v"``.
 
-    Returns a member of ``supported`` (default
-    :data:`SUPPORTED_VERSIONS`; a server built to emulate an older
-    peer passes a shorter tuple), or :data:`LEGACY_VERSION` for
-    version-less requests when ``accept_legacy`` (with a
-    :class:`DeprecationWarning`). Anything else raises
-    :class:`ProtocolError` with ``unsupported_version``.
+    A request without ``"v"``, or with a version outside
+    :data:`SUPPORTED_VERSIONS`, raises :class:`ProtocolError` with
+    ``unsupported_version``.
     """
-    if supported is None:
-        supported = SUPPORTED_VERSIONS
-    if "v" not in request:
-        if accept_legacy:
-            warnings.warn(
-                "version-less (v0) protocol request; add \"v\": "
-                f"{max(supported)} — the legacy dialect will be removed",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return LEGACY_VERSION
+    if not isinstance(request, dict) or "v" not in request:
         raise ProtocolError(
             UNSUPPORTED_VERSION,
-            'request has no protocol version field "v" and this server '
-            "does not accept legacy requests",
-            details={"supported": list(supported)},
+            'request has no protocol version field "v"; add "v": '
+            f"{PROTOCOL_VERSION}",
+            details={"supported": list(SUPPORTED_VERSIONS)},
         )
     version = request["v"]
-    if version in supported:
+    if version in SUPPORTED_VERSIONS:
         return version
     raise ProtocolError(
         UNSUPPORTED_VERSION,
         f"unsupported protocol version {version!r}",
-        details={"supported": list(supported)},
+        details={"supported": list(SUPPORTED_VERSIONS)},
     )
 
 

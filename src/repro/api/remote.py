@@ -15,7 +15,9 @@ machines is declared like any other backend choice::
 Each worker is a ``python -m repro.cli serve --listen HOST:PORT``
 process holding the *same* saved model; registration (the ``hello``
 op) enforces that by fingerprint before a single scene ships, raising
-``model_mismatch`` otherwise. Scenes are partitioned contiguously and
+``model_mismatch`` otherwise, and that every worker speaks the
+protocol v2 framed wire the pool dispatches over. Scenes are
+partitioned contiguously and
 capacity-weighted across healthy workers (:mod:`repro.api.pool`),
 each partition executes worker-side as an inline audit, a worker that
 dies mid-audit has its partition requeued onto the survivors, and the
@@ -56,11 +58,6 @@ class RemoteBackend(ExecutionBackend):
     - ``check_model``: verify every worker's model fingerprint against
       the coordinating engine at registration (default True; turning
       it off surrenders the byte-identity guarantee);
-    - ``wire``: ``"auto"`` (default — the protocol v2 binary framed
-      wire with content-addressed scene shipping for workers that
-      advertise it, classic line-JSON for v1-only workers, mixed pools
-      welcome), ``"v1"`` (force line-JSON), or ``"v2"`` (require
-      frames; a worker without them fails registration);
     - ``chunk_scenes``: scenes per dispatch request (default 8; 0 =
       one request per partition) — smaller chunks pipeline
       coordinator-side encoding against worker-side ranking;
@@ -91,27 +88,19 @@ class RemoteBackend(ExecutionBackend):
         timeout: float | None = DEFAULT_TIMEOUT,
         connect_timeout: float | None = 5.0,
         check_model: bool = True,
-        wire: str = "auto",
         chunk_scenes: int = 8,
         pipeline: int = 2,
         capacity_refresh: float = 30.0,
     ):
-        from repro.api.pool import WIRE_MODES
-
         workers = list(workers)
         if not workers:
             raise TypeError(
                 "the remote backend needs workers=[\"host:port\", ...]"
             )
-        if wire not in WIRE_MODES:
-            raise TypeError(
-                f"wire must be one of {WIRE_MODES}, got {wire!r}"
-            )
         self.workers = workers
         self.timeout = timeout
         self.connect_timeout = connect_timeout
         self.check_model = check_model
-        self.wire = wire
         self.chunk_scenes = chunk_scenes
         self.pipeline = pipeline
         self.capacity_refresh = capacity_refresh
@@ -139,7 +128,6 @@ class RemoteBackend(ExecutionBackend):
                 self.workers,
                 timeout=self.timeout,
                 connect_timeout=self.connect_timeout,
-                wire=self.wire,
                 chunk_scenes=self.chunk_scenes,
                 pipeline=self.pipeline,
                 capacity_refresh=self.capacity_refresh,

@@ -1,7 +1,7 @@
 """AuditResult: the one typed result every execution backend returns.
 
-Whatever strategy executed the spec — inline loop, thread pool, process
-shards, or a streaming session — the caller gets the same shape: the
+Whatever strategy executed the spec — inline loop, a streaming
+session, or remote workers — the caller gets the same shape: the
 ranked :class:`~repro.core.scoring.ScoredItem` list plus
 :class:`AuditProvenance` saying exactly what produced it (which backend,
 which spec — by hash —, which fitted model — by fingerprint —, how many

@@ -152,9 +152,8 @@ class FilterSpec:
 
         The callable matches the kind's filter signature —
         ``(track)``, ``(bundle, track)``, or ``(observation)`` — and,
-        being a module-level class instance, crosses the
-        :class:`~repro.serving.sharded.ShardedRanker` process boundary
-        where a lambda cannot.
+        being a module-level class instance, pickles where a lambda
+        cannot.
         """
         self.validate(kind)
         if self.is_empty:
@@ -192,8 +191,7 @@ def _source_match(has_model, has_human, is_model: bool, is_human: bool) -> bool:
 class CompiledFilter:
     """A :class:`FilterSpec` bound to one rank kind, as a callable.
 
-    Defined at module level (not a closure) so instances pickle across
-    the sharded backend's process boundary.
+    Defined at module level (not a closure) so instances pickle.
     """
 
     def __init__(self, spec: FilterSpec, kind: str):
@@ -507,7 +505,7 @@ class AuditSpec:
             are passed to :meth:`repro.api.Audit.run`.
         backend: Default execution backend name (overridable per run).
         backend_options: Keyword options for the backend constructor
-            (e.g. ``{"n_workers": 4}`` for ``sharded``).
+            (e.g. ``{"workers": ["host:7500"]}`` for ``remote``).
         version: Spec schema version (must equal :data:`SPEC_VERSION`).
     """
 

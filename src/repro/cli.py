@@ -9,9 +9,6 @@ Subcommands (also exposed as ``python -m repro.cli``):
 - ``audit``       execute a declarative :class:`repro.api.AuditSpec`
                   (from a JSON file or flags) on any backend and print
                   the typed :class:`repro.api.AuditResult` as JSON;
-- ``rank``        (deprecated: use ``audit``) fit on a dataset's
-                  training split and print the top potential missing
-                  labels of one validation scene;
 - ``bench``       A/B the scalar reference vs the columnar fast path
                   (compile+rank) and optionally persist the report;
 - ``serve``       run the streaming serving loop: line-delimited JSON
@@ -33,11 +30,11 @@ Examples::
     python -m repro.cli generate --profile lyft --out /tmp/lyft --val 4
     python -m repro.cli experiment table3
     python -m repro.cli audit --profile internal --scene 0 --top 10 \
-        --model-only --backend sharded --workers 4
+        --model-only --backend session
     python -m repro.cli audit --spec audit.json --out result.json
     python -m repro.cli bench --densities 10 100 --out BENCH_scaling.json
     python -m repro.cli serve --model model.json < requests.jsonl
-    python -m repro.cli serve --model model.json --listen 0.0.0.0:7500 --strict
+    python -m repro.cli serve --model model.json --listen 0.0.0.0:7500
     python -m repro.cli audit --paths scene.json --model model.json \
         --backend remote --workers host1:7500 host2:7500
     python -m repro.cli warehouse ingest --db corpus.db --paths *.labels.json
@@ -54,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 from repro.datasets import PROFILES as _PROFILES
@@ -148,27 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--top", type=int, default=None, help="keep top K items")
     audit.add_argument(
         "--backend", default="inline",
-        help="execution backend: inline, threaded, sharded, session, "
-        "or remote",
+        help="execution backend: inline, session, or remote",
     )
     audit.add_argument(
-        "--workers", nargs="+", default=None, metavar="N|HOST:PORT",
-        help="sharded backend: one process count (--workers 4); remote "
-        "backend: worker addresses (--workers host1:7500 host2:7500)",
+        "--workers", nargs="+", default=None, metavar="HOST:PORT",
+        help="remote backend worker addresses "
+        "(--workers host1:7500 host2:7500)",
     )
     audit.add_argument(
         "--timeout", type=float, default=None,
         help="per-request deadline in seconds (remote backend)",
-    )
-    audit.add_argument(
-        "--wire", choices=["auto", "v1", "v2"], default=None,
-        help="remote backend wire format: auto (negotiate per worker, "
-        "the default), v1 (line-JSON), v2 (require binary frames + "
-        "content-addressed scene shipping)",
-    )
-    audit.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker threads (threaded backend)",
     )
     audit.add_argument(
         "--model-only", action="store_true",
@@ -183,24 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="PATH",
         help="record a span trace of the run (stitched across remote "
         "workers) and write it to PATH as JSONL, one span per line",
-    )
-
-    rank = sub.add_parser(
-        "rank", help="(deprecated: use `audit`) rank potential missing labels"
-    )
-    rank.add_argument("--profile", choices=sorted(_PROFILES), default="internal")
-    rank.add_argument("--scene", type=int, default=0, help="validation scene index")
-    rank.add_argument("--top", type=int, default=10)
-    rank.add_argument("--train", type=int, default=None)
-    rank.add_argument("--val", type=int, default=None)
-    rank.add_argument(
-        "--scalar", action="store_true",
-        help="use the scalar reference pipeline instead of the columnar "
-        "fast path (for verification)",
-    )
-    rank.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker threads for multi-scene compilation (default 1)",
     )
 
     bench = sub.add_parser(
@@ -244,11 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-standing", type=int, default=16,
         help="standing-audit subscriptions allowed per session (each is "
         "incrementally maintained on every edit; default 16)",
-    )
-    serve.add_argument(
-        "--strict", action="store_true",
-        help="reject version-less (v0) protocol requests with a structured "
-        "unsupported_version error instead of the deprecation shim",
     )
     serve.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
@@ -440,8 +402,7 @@ def _cmd_audit(args) -> int:
         or args.kind != "tracks" or args.top is not None
         or args.backend != "inline" or args.features != "default"
         or args.split != "val" or args.workers is not None
-        or args.jobs is not None or args.model_only
-        or args.timeout is not None or args.wire is not None
+        or args.model_only or args.timeout is not None
         or args.warehouse is not None or args.where is not None
         or args.batch is not None
     )
@@ -483,31 +444,22 @@ def _cmd_audit(args) -> int:
                     ) from None
             backend_options = {}
             if args.workers is not None:
-                if args.backend == "sharded":
-                    if len(args.workers) != 1 or not args.workers[0].isdigit():
-                        raise SpecValidationError(
-                            "--workers for the sharded backend takes one "
-                            f"process count, got {args.workers!r}"
-                        )
-                    backend_options["n_workers"] = int(args.workers[0])
-                elif args.backend == "remote":
-                    from repro.api.client import parse_address
-
-                    for worker in args.workers:
-                        try:
-                            parse_address(worker)
-                        except ValueError:
-                            raise SpecValidationError(
-                                "--workers for the remote backend takes "
-                                f"HOST:PORT addresses, got {worker!r}"
-                            ) from None
-                    backend_options["workers"] = list(args.workers)
-                else:
+                if args.backend != "remote":
                     raise SpecValidationError(
-                        "--workers applies to the sharded (process count) "
-                        "or remote (worker addresses) backend "
+                        "--workers applies to the remote backend "
                         f"(got --backend {args.backend})"
                     )
+                from repro.api.client import parse_address
+
+                for worker in args.workers:
+                    try:
+                        parse_address(worker)
+                    except ValueError:
+                        raise SpecValidationError(
+                            "--workers for the remote backend takes "
+                            f"HOST:PORT addresses, got {worker!r}"
+                        ) from None
+                backend_options["workers"] = list(args.workers)
             elif args.backend == "remote":
                 raise SpecValidationError(
                     "the remote backend needs --workers HOST:PORT [...]"
@@ -519,20 +471,6 @@ def _cmd_audit(args) -> int:
                         f"(got --backend {args.backend})"
                     )
                 backend_options["timeout"] = args.timeout
-            if args.wire is not None:
-                if args.backend != "remote":
-                    raise SpecValidationError(
-                        "--wire applies to the remote backend "
-                        f"(got --backend {args.backend})"
-                    )
-                backend_options["wire"] = args.wire
-            if args.jobs is not None:
-                if args.backend != "threaded":
-                    raise SpecValidationError(
-                        "--jobs applies to the threaded backend "
-                        f"(got --backend {args.backend})"
-                    )
-                backend_options["n_jobs"] = args.jobs
             spec = AuditSpec(
                 kind=args.kind,
                 top_k=args.top,
@@ -580,52 +518,6 @@ def _cmd_audit(args) -> int:
     if args.trace:
         n_spans = result.dump_trace(args.trace)
         print(f"wrote {n_spans} spans to {args.trace}", file=sys.stderr)
-    return 0
-
-
-def _cmd_rank(args) -> int:
-    from repro.api import Audit, AuditSpec, FilterSpec
-    from repro.core import MissingTrackFinder
-
-    warnings.warn(
-        "`repro.cli rank` is deprecated; use `repro.cli audit` "
-        "(e.g. audit --profile internal --scene 0 --model-only)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    dataset = build_dataset(
-        _PROFILES[args.profile], n_train_scenes=args.train, n_val_scenes=args.val
-    )
-    if not 0 <= args.scene < len(dataset.val_scenes):
-        print(
-            f"scene index {args.scene} out of range "
-            f"(dataset has {len(dataset.val_scenes)} validation scenes)",
-            file=sys.stderr,
-        )
-        return 2
-    labeled = dataset.val_scenes[args.scene]
-    # Thin client of the audit API: the finder supplies the fitted
-    # engine (with its missing-track AOFs), the spec declares the query.
-    finder = MissingTrackFinder(
-        vectorized=not args.scalar, n_jobs=args.jobs
-    ).fit(dataset.train_scenes)
-    spec = AuditSpec(
-        kind="tracks",
-        top_k=args.top,
-        filters=FilterSpec(has_model=True, has_human=False),
-    )
-    ranked = Audit(spec, fixy=finder.fixy).run(scenes=labeled.scene).items
-    auditor = labeled.auditor()
-
-    print(f"Top {args.top} potential missing labels in {labeled.scene_id}:")
-    for position, scored in enumerate(ranked, start=1):
-        decision = auditor.audit_missing_track(scored.item)
-        mark = "✓" if decision.is_error else "✗"
-        print(
-            f"  {mark} #{position:<2d} score {scored.score:+.3f}  "
-            f"{scored.item.majority_class():<10s} "
-            f"{scored.item.n_observations:>3d} obs  ({decision.reason})"
-        )
     return 0
 
 
@@ -799,7 +691,6 @@ def _cmd_serve(args, stdin=None, stdout=None) -> int:
     service = StreamingService(
         fixy,
         max_sessions=args.max_sessions,
-        accept_legacy=not args.strict,
         capacity=args.capacity,
         scene_cache=args.scene_cache,
         max_standing=args.max_standing,
@@ -808,8 +699,7 @@ def _cmd_serve(args, stdin=None, stdout=None) -> int:
     from repro.api.protocol import PROTOCOL_VERSION
 
     print(
-        f"serving ({source}); protocol v{PROTOCOL_VERSION}"
-        f"{' (strict)' if args.strict else ''}; "
+        f"serving ({source}); protocol v{PROTOCOL_VERSION}; "
         "ops: open/edit/rank/audit/subscribe/unsubscribe/standing/"
         "close/stats/hello/health/metrics; "
         "one JSON request per line (or v2 binary frames over --listen)",
@@ -915,9 +805,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "warehouse":
-        return _cmd_warehouse(args)
-    return _cmd_rank(args)
+    return _cmd_warehouse(args)
 
 
 if __name__ == "__main__":

@@ -68,7 +68,8 @@ class MissingTrackFinder:
     """Find tracks entirely missed by human labelers (§7, §8.2).
 
     Extra keyword arguments (``vectorized``, ``fast_density``,
-    ``n_jobs``, ...) pass through to :class:`~repro.core.engine.Fixy`.
+    ``compile_cache_size``) pass through to
+    :class:`~repro.core.engine.Fixy`.
     """
 
     def __init__(

@@ -20,16 +20,12 @@ The online phase runs on the columnar pipeline by default
 to flat potential arrays via batched density evaluation, scoring reads
 those arrays directly, and — with ``fast_density`` — eligible KDEs are
 served from validated log-density interpolation grids once traffic
-amortizes their construction. Three engine-level layers sit on top:
+amortizes their construction. Two engine-level layers sit on top:
 
 - a **compiled-scene LRU cache**, so repeated queries against the same
   scene object (rank tracks, then bundles, then observations) compile
-  once;
-- a **multi-scene fast path**: ``rank_*`` over a scene list compiles the
-  scenes through a ``concurrent.futures`` pool (``n_jobs``) and merges
-  the per-scene rankings. NumPy releases the GIL inside the heavy batch
-  kernels, so threads help when cores are available; the default stays
-  serial because single-core containers gain nothing;
+  once; a multi-scene :meth:`Fixy.rank` ranks each scene from its
+  cached scorer and merges the per-scene rankings;
 - ``vectorized=False`` switches the whole engine to the scalar
   reference pipeline for A/B verification.
 """
@@ -37,16 +33,14 @@ amortizes their construction. Three engine-level layers sit on top:
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import Counter, OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.core.aof import AOF
 from repro.core.compile import CompiledScene, compile_scene
 from repro.core.features import Feature
 from repro.core.learning import FeatureDistributionLearner, LearnedModel
-from repro.core.model import Observation, ObservationBundle, Scene, Track
+from repro.core.model import Scene
 from repro.core.scoring import (
     ScoredItem,
     Scorer,
@@ -74,9 +68,6 @@ class Fixy:
             (lazy; builds only once batch traffic amortizes it). The
             scalar path is never affected. See
             :meth:`repro.core.learning.LearnedModel.enable_fast_eval`.
-        n_jobs: Worker threads for multi-scene ``rank_*`` calls. ``1``
-            (default) is serial; ``None`` or ``0`` picks a small
-            automatic pool.
         compile_cache_size: Compiled scenes kept in the LRU cache
             (``0`` disables caching).
     """
@@ -89,7 +80,6 @@ class Fixy:
         min_samples: int = 8,
         vectorized: bool = True,
         fast_density: bool = True,
-        n_jobs: int | None = 1,
         compile_cache_size: int = 16,
     ):
         if not features:
@@ -104,14 +94,14 @@ class Fixy:
         self.aofs = dict(aofs or {})
         self.vectorized = vectorized
         self.fast_density = fast_density
-        self.n_jobs = n_jobs
         self._learner = FeatureDistributionLearner(
             self.features, sources=learn_sources, min_samples=min_samples
         )
         self.learned: LearnedModel | None = None
         #: id(scene) -> [scene, compiled, scorer-or-None]; the scene
         #: reference keeps the id stable while cached, the scorer slot
-        #: memoizes the edge-table build across rank_* calls.
+        #: memoizes the edge-table build across rank calls. The lock
+        #: guards it: gateway and pool-dispatch threads share one engine.
         self._compile_cache: OrderedDict[int, list] = OrderedDict()
         self._compile_cache_size = max(0, int(compile_cache_size))
         self._cache_lock = threading.Lock()
@@ -144,59 +134,7 @@ class Fixy:
         return self.learned is not None
 
     # ------------------------------------------------------------------
-    # Serving transport: snapshot the engine's state for worker processes
-    # ------------------------------------------------------------------
-    def to_payload(self, include_grids: bool = True) -> dict:
-        """Snapshot configuration + fitted model for transport.
-
-        The learned model travels as its :meth:`LearnedModel.to_dict`
-        form (JSON-safe; density grids included by default so receiving
-        workers skip the warmup build). Features and AOFs are the live
-        objects — they cross process boundaries by pickling, which
-        every library feature supports.
-        """
-        return {
-            "features": list(self.features),
-            "aofs": dict(self.aofs),
-            "learn_sources": tuple(self._learner.sources),
-            "min_samples": self._learner.min_samples,
-            "vectorized": self.vectorized,
-            "fast_density": self.fast_density,
-            "learned": (
-                self.learned.to_dict(include_grids=include_grids)
-                if self.learned is not None
-                else None
-            ),
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict, compile_cache_size: int | None = None
-    ) -> "Fixy":
-        """Rebuild an engine from :meth:`to_payload` (worker-side)."""
-        fixy = cls(
-            features=payload["features"],
-            aofs=payload["aofs"],
-            learn_sources=tuple(payload["learn_sources"]),
-            min_samples=payload["min_samples"],
-            vectorized=payload["vectorized"],
-            fast_density=payload["fast_density"],
-            **(
-                {}
-                if compile_cache_size is None
-                else {"compile_cache_size": compile_cache_size}
-            ),
-        )
-        if payload["learned"] is not None:
-            fixy.learned = LearnedModel.from_dict(payload["learned"])
-            if fixy.fast_density:
-                # Grids persisted in the payload come back ready; this
-                # only arms whatever the snapshot had not built yet.
-                fixy.learned.enable_fast_eval()
-        return fixy
-
-    # ------------------------------------------------------------------
-    # Serving facade: incremental sessions and process sharding
+    # Serving facade: incremental sessions
     # ------------------------------------------------------------------
     def session(self, scene: Scene, session_id: str | None = None):
         """An incremental :class:`~repro.serving.session.SceneSession`
@@ -204,7 +142,7 @@ class Fixy:
 
         Session edits mutate ``scene`` in place, so every edit also
         evicts it from this engine's identity-keyed compile cache —
-        ``rank_*`` on the same scene object stays fresh.
+        :meth:`rank` on the same scene object stays fresh.
         """
         from repro.serving.session import SceneSession
 
@@ -223,13 +161,6 @@ class Fixy:
             session_id=session_id,
             on_invalidate=lambda: self._evict_scene(scene),
         )
-
-    def shard(self, n_workers: int = 2, **kwargs):
-        """A :class:`~repro.serving.sharded.ShardedRanker` over this
-        engine (process-pool ``rank_*`` with per-worker caches)."""
-        from repro.serving.sharded import ShardedRanker
-
-        return ShardedRanker(self, n_workers=n_workers, **kwargs)
 
     def _require_fitted(self) -> None:
         needs_learning = any(f.learnable for f in self.features)
@@ -311,25 +242,12 @@ class Fixy:
             entry[2] = Scorer(entry[1])
         return entry[2]
 
-    def _scorers(
-        self, scenes: list[Scene], n_jobs: int | None = None
-    ) -> list[Scorer]:
-        """Build scorers for many scenes (optionally in parallel)."""
-        jobs = self.n_jobs if n_jobs is None else n_jobs
-        if jobs in (None, 0):
-            jobs = min(4, len(scenes))
-        if len(scenes) <= 1 or jobs <= 1:
-            return [self.scorer(scene) for scene in scenes]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(self.scorer, scenes))
-
     def rank(
         self,
         scenes: Scene | list[Scene],
         kind: str = "tracks",
         filt=None,
         top_k: int | None = None,
-        n_jobs: int | None = None,
     ) -> list[ScoredItem]:
         """Rank components of ``kind`` across scenes, best score first.
 
@@ -339,8 +257,7 @@ class Fixy:
         :class:`~repro.core.scoring.UnknownRankKindError` before any
         scene compiles). ``filt`` is the kind's filter callable —
         ``(track)``, ``(bundle, track)``, or ``(observation)``
-        respectively. ``n_jobs`` overrides the engine's thread count
-        for this call (``None`` keeps the engine default).
+        respectively.
 
         The declarative form of this call is :class:`repro.api.AuditSpec`
         executed through :class:`repro.api.Audit`, which adds result
@@ -349,7 +266,7 @@ class Fixy:
         kind = normalize_rank_kind(kind)
         blocks = [
             scorer.rank(kind, filt, top_k)
-            for scorer in self._scorers(_as_list(scenes), n_jobs)
+            for scorer in map(self.scorer, _as_list(scenes))
         ]
         return merge_rankings(blocks, top_k)
 
@@ -364,44 +281,6 @@ class Fixy:
 
         with Audit(spec, fixy=self) as audit:
             return audit.run(scenes=scenes, backend=backend, **backend_options)
-
-    def _deprecated_rank(self, method: str, kind: str):
-        warnings.warn(
-            f"Fixy.{method} is deprecated; use Fixy.rank(scenes, "
-            f"kind={kind!r}) or the declarative repro.api Audit API",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def rank_tracks(
-        self,
-        scenes: Scene | list[Scene],
-        track_filter: Callable[[Track], bool] | None = None,
-        top_k: int | None = None,
-    ) -> list[ScoredItem]:
-        """Deprecated: use :meth:`rank` with ``kind="tracks"``."""
-        self._deprecated_rank("rank_tracks", "tracks")
-        return self.rank(scenes, "tracks", track_filter, top_k)
-
-    def rank_bundles(
-        self,
-        scenes: Scene | list[Scene],
-        bundle_filter: Callable[[ObservationBundle, Track], bool] | None = None,
-        top_k: int | None = None,
-    ) -> list[ScoredItem]:
-        """Deprecated: use :meth:`rank` with ``kind="bundles"``."""
-        self._deprecated_rank("rank_bundles", "bundles")
-        return self.rank(scenes, "bundles", bundle_filter, top_k)
-
-    def rank_observations(
-        self,
-        scenes: Scene | list[Scene],
-        obs_filter: Callable[[Observation], bool] | None = None,
-        top_k: int | None = None,
-    ) -> list[ScoredItem]:
-        """Deprecated: use :meth:`rank` with ``kind="observations"``."""
-        self._deprecated_rank("rank_observations", "observations")
-        return self.rank(scenes, "observations", obs_filter, top_k)
 
 
 def _as_list(scenes: Scene | list[Scene]) -> list[Scene]:

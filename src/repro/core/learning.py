@@ -63,9 +63,10 @@ class LearnedFeatureDistribution:
         import threading
 
         # Transient acceleration state; never serialized. The lock
-        # guards the pending→ready transition: Fixy can batch-evaluate
-        # the same distribution from several compile threads (n_jobs),
-        # and the grid should be built exactly once.
+        # guards the pending→ready transition: the serving fronts
+        # compile on several threads (gateway executor, pool dispatch),
+        # any of which may batch-evaluate the same distribution, and
+        # the grid should be built exactly once.
         self._fast_state = "off"  # "off" | "pending" | "ready" | "disabled"
         self._fast_grid = None
         self._fast_tol = 0.0

@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -120,8 +119,8 @@ def merge_rankings(
 ) -> "list[ScoredItem]":
     """Merge per-scene ranking blocks into one globally sorted list.
 
-    Every multi-scene surface (inline, thread pool, process pool,
-    per-scene sessions) funnels through this one merge: blocks are
+    Every multi-scene surface (inline, per-scene sessions, remote
+    worker chunks) funnels through this one merge: blocks are
     concatenated in submission order, then stable-sorted best score
     first — so identical per-scene blocks always produce the identical
     merged ranking, whatever execution strategy produced them.
@@ -398,28 +397,6 @@ class Scorer:
                 )
             )
         return out
-
-    def rank_tracks(
-        self, track_filter: Callable[[Track], bool] | None = None
-    ) -> list[ScoredItem]:
-        """All finite-scoring tracks, best score first."""
-        return self.rank("tracks", track_filter)
-
-    def rank_bundles(
-        self,
-        bundle_filter: Callable[[ObservationBundle, Track], bool] | None = None,
-    ) -> list[ScoredItem]:
-        """All finite-scoring bundles, best score first.
-
-        ``bundle_filter`` receives the bundle and its enclosing track.
-        """
-        return self.rank("bundles", bundle_filter)
-
-    def rank_observations(
-        self, obs_filter: Callable[[Observation], bool] | None = None
-    ) -> list[ScoredItem]:
-        """All finite-scoring individual observations, best first."""
-        return self.rank("observations", obs_filter)
 
     # ------------------------------------------------------------------
     def _ranking(self, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

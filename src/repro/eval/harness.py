@@ -68,9 +68,7 @@ class AuditBackendReport:
 
 
 def audit_backend_equivalence(
-    backends: tuple[str, ...] = (
-        "inline", "threaded", "sharded", "session", "remote",
-    ),
+    backends: tuple[str, ...] = ("inline", "session", "remote"),
     top_k: int = 25,
     n_remote_workers: int = 2,
 ) -> AuditBackendReport:

@@ -50,8 +50,8 @@ def _time_compile_rank(fixy, scene, vectorized: bool) -> tuple[float, float, int
         vectorized=vectorized,
     )
     t1 = time.perf_counter()
-    ranked = Scorer(compiled).rank_tracks(
-        lambda track: not track.has_human and track.has_model
+    ranked = Scorer(compiled).rank(
+        "tracks", lambda track: not track.has_human and track.has_model
     )
     t2 = time.perf_counter()
     return t1 - t0, t2 - t1, len(ranked)

@@ -1,6 +1,7 @@
-"""Serving-layer performance harness: delta recompiles and sharding.
+"""Serving-layer performance harness: delta recompiles, remote audits
+and standing audits.
 
-Two measurements, both persisted into ``BENCH_scaling.json`` by
+Three measurements, all persisted into ``BENCH_scaling.json`` by
 ``benchmarks/run_perf_harness.py`` so the perf trajectory stays
 tracked:
 
@@ -10,16 +11,11 @@ tracked:
   from-scratch :func:`~repro.core.compile.compile_scene`. The ISSUE-2
   acceptance floor (≥5× at ≥25 tracks) is asserted by
   ``benchmarks/bench_delta_recompile.py`` on top of this report.
-- :func:`sharding_report` — rank a batch of scenes through the
-  in-process thread path and through
-  :class:`~repro.serving.sharded.ShardedRanker` process pools of
-  increasing width, recording throughput and checking the rankings are
-  **byte-identical** across all paths.
-- :func:`remote_report` — audit the same batch through the ``remote``
-  backend against 1..N real TCP protocol workers
+- :func:`remote_report` — audit a batch of scenes through the
+  ``remote`` backend against 1..N real TCP protocol workers
   (:class:`repro.serving.TcpWorker`), recording distributed throughput
-  vs the inline reference and checking byte-identity once more — the
-  cross-machine analogue of the sharding comparison.
+  vs the inline reference and checking the rankings are
+  **byte-identical**.
 - :func:`standing_report` — stream an edit sequence into a session
   with a :class:`~repro.serving.standing.StandingAudit` subscribed and
   compare the amortized per-edit top-k maintenance cost against the
@@ -44,7 +40,6 @@ __all__ = [
     "available_cpus",
     "delta_vs_full",
     "remote_report",
-    "sharding_report",
     "standing_report",
     "render_serving_report",
 ]
@@ -159,79 +154,6 @@ def delta_vs_full(
 
 
 # ----------------------------------------------------------------------
-def sharding_report(
-    n_scenes: int = 6,
-    n_objects: int = 20,
-    worker_counts: Sequence[int] = (1, 2),
-    repeats: int = 3,
-    fixy=None,
-) -> dict:
-    """Thread-path vs 1..N-process ranking throughput (+ identity check).
-
-    Every path ranks the same scene batch; per-path timing is
-    best-of-``repeats`` on a warm pool (workers already initialized and
-    caches populated — steady-state serving, not pool spin-up, which is
-    reported separately as ``cold_ms``).
-    """
-    from repro.serving import ShardedRanker
-
-    fixy = fixy or _warm_finder()
-    scenes = [
-        _build_scene(n_objects, seed=1000 + i) for i in range(n_scenes)
-    ]
-
-    def best_of(fn) -> tuple[float, list]:
-        best, out = float("inf"), None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            ranked = fn()
-            elapsed = time.perf_counter() - t0
-            if elapsed < best:
-                best = elapsed
-            out = ranked
-        return best, out
-
-    thread_s, thread_ranked = best_of(lambda: fixy.rank(scenes, "tracks"))
-    reference = _ranking_signature(thread_ranked)
-
-    cases = []
-    identical = True
-    for n_workers in worker_counts:
-        with ShardedRanker(fixy, n_workers=n_workers) as ranker:
-            t0 = time.perf_counter()
-            cold_ranked = ranker.rank_tracks(scenes)
-            cold_s = time.perf_counter() - t0
-            warm_s, warm_ranked = best_of(lambda: ranker.rank_tracks(scenes))
-            stats = ranker.cache_stats()
-        match = (
-            _ranking_signature(cold_ranked) == reference
-            and _ranking_signature(warm_ranked) == reference
-        )
-        identical &= match
-        cases.append(
-            {
-                "n_workers": n_workers,
-                "cold_ms": round(1e3 * cold_s, 3),
-                "warm_ms": round(1e3 * warm_s, 3),
-                "scenes_per_s": round(n_scenes / warm_s, 2) if warm_s > 0 else None,
-                "cache_hits": stats["hits"],
-                "cache_misses": stats["misses"],
-                "byte_identical": match,
-            }
-        )
-    return {
-        "n_scenes": n_scenes,
-        "n_objects": n_objects,
-        "repeats": repeats,
-        "thread_ms": round(1e3 * thread_s, 3),
-        "thread_scenes_per_s": round(n_scenes / thread_s, 2) if thread_s > 0 else None,
-        "n_ranked": len(thread_ranked),
-        "byte_identical": identical,
-        "process_cases": cases,
-    }
-
-
-# ----------------------------------------------------------------------
 def _wire_stats(result) -> dict:
     """Aggregate per-worker wire counters out of an AuditResult."""
     reports = result.provenance.workers or []
@@ -256,7 +178,6 @@ def remote_report(
     worker_counts: Sequence[int] = (1, 2),
     repeats: int = 3,
     fixy=None,
-    wire: str = "auto",
 ) -> dict:
     """Inline vs 1..N-TCP-worker audit throughput (+ identity check).
 
@@ -267,8 +188,7 @@ def remote_report(
     byte-identity verdict, and the wire economics per width — bytes on
     the wire (cold vs warm), coordinator encode milliseconds, and
     worker scene-cache hits/misses, which is how the trajectory shows
-    the v2 warm path shipping ids instead of bodies. ``wire`` forwards
-    to the remote backend (``auto``/``v1``/``v2``).
+    the warm path shipping ids instead of bodies.
     """
     from repro.api import Audit, AuditSpec
     from repro.serving.tcp import TcpWorker
@@ -303,18 +223,15 @@ def remote_report(
             addresses = [w.address for w in workers[:n_workers]]
             # First call registers the pool (hello round-trips) and
             # ships scene bodies; the warm runs ride the worker-side
-            # scene caches (ids only under the v2 wire). The cold/warm
-            # split mirrors sharding_report.
+            # scene caches (ids only).
             t0 = time.perf_counter()
             cold = audit.run(
-                scenes=scenes, backend="remote", workers=addresses,
-                wire=wire,
+                scenes=scenes, backend="remote", workers=addresses
             )
             cold_s = time.perf_counter() - t0
             warm_s, warm = best_of(
                 lambda: audit.run(
-                    scenes=scenes, backend="remote", workers=addresses,
-                    wire=wire,
+                    scenes=scenes, backend="remote", workers=addresses
                 )
             )
             match = (
@@ -353,7 +270,6 @@ def remote_report(
         "n_scenes": n_scenes,
         "n_objects": n_objects,
         "repeats": repeats,
-        "wire": wire,
         # Worker scaling is bounded by the machine: on a single-CPU
         # box N workers time-share one core, so warm throughput tops
         # out at parity with 1 worker no matter the wire.
@@ -484,33 +400,17 @@ def standing_report(
 # ----------------------------------------------------------------------
 def render_serving_report(
     delta: dict | None,
-    sharding: dict | None,
     remote: dict | None = None,
     standing: dict | None = None,
 ) -> str:
     """Human-readable rendering of the serving reports."""
-    lines = ["Serving layer: delta recompilation and process sharding"]
+    lines = ["Serving layer: delta recompilation, remote and standing audits"]
     if delta is not None:
         lines.append(
             f"  delta recompile (1 of {delta['n_tracks']} tracks edited): "
             f"full {delta['full_ms']:.1f} ms vs delta {delta['delta_ms']:.1f} ms "
             f"=> {delta['speedup']:.1f}x"
         )
-    if sharding is not None:
-        lines.append(
-            f"  ranking {sharding['n_scenes']} scenes "
-            f"({sharding['n_objects']} objects each): thread "
-            f"{sharding['thread_ms']:.1f} ms "
-            f"({sharding['thread_scenes_per_s']:.1f} scenes/s), "
-            f"byte-identical={sharding['byte_identical']}"
-        )
-        for case in sharding["process_cases"]:
-            lines.append(
-                f"    {case['n_workers']} process(es): cold "
-                f"{case['cold_ms']:.1f} ms, warm {case['warm_ms']:.1f} ms "
-                f"({case['scenes_per_s']:.1f} scenes/s), cache "
-                f"{case['cache_hits']}h/{case['cache_misses']}m"
-            )
     if remote is not None:
         lines.append(
             f"  remote audit of {remote['n_scenes']} scenes "

@@ -1,10 +1,10 @@
 """Streaming serving layer: incremental sessions, delta recompilation,
-process-sharded ranking.
+and the protocol fronts.
 
 The batch engine (:class:`repro.core.engine.Fixy`) compiles a whole
 scene per query — the right shape for reproducing the paper's
 experiments, the wrong shape for a long-lived service where scenes
-mutate as sensor frames arrive and ranking traffic fans across cores.
+mutate as sensor frames arrive.
 This package is the serving-side architecture on top of the columnar
 compile pipeline:
 
@@ -23,19 +23,14 @@ compile pipeline:
   *standing query*: per-track scores plus a bounded heap+threshold
   top-k, maintained in O(changed · log k) per edit and byte-identical
   to the full-rescore reference (``StandingAudit.verify``);
-- :class:`~repro.serving.sharded.ShardedRanker` — fans ``rank_*`` over
-  a ``ProcessPoolExecutor``; scenes travel as ``Scene.to_dict``
-  payloads and each worker keeps its own model + compiled-scene LRU
-  cache (the per-process replacement for the engine's in-process
-  cache);
 - :class:`~repro.serving.store.SessionStore` — many concurrent
   sessions with LRU eviction;
 - :class:`~repro.serving.service.StreamingService` — the server side
   of the versioned request/response protocol
   (:mod:`repro.api.protocol`) over the store (``python -m repro.cli
   serve``; the in-repo client is
-  :class:`repro.api.AuditClient`, and version-less v0 requests are
-  still answered through a deprecation shim);
+  :class:`repro.api.AuditClient`; a request without a protocol
+  version is answered with ``unsupported_version``);
 - :mod:`repro.serving.tcp` — the same protocol behind a threaded TCP
   listener (``repro.cli serve --listen HOST:PORT``); each worker in
   the distributed ``remote`` backend is one of these;
@@ -47,9 +42,9 @@ compile pipeline:
   :class:`StreamingService` handlers (byte-identical responses).
 
 Everything here is an execution strategy behind the unified audit API:
-:class:`repro.api.AuditSpec` runs on the session and sharded layers via
-the ``session`` and ``sharded`` backends with rankings byte-identical
-to the inline engine.
+:class:`repro.api.AuditSpec` runs on a session through the ``session``
+backend, and on a pool of these fronts through the ``remote`` backend,
+with rankings byte-identical to the inline engine.
 """
 
 from repro.serving.gateway import AsyncGateway, GatewayWorker
@@ -65,7 +60,6 @@ from repro.serving.edits import (
     edit_from_dict,
 )
 from repro.serving.session import SceneSession, SessionStats
-from repro.serving.sharded import ShardedRanker
 from repro.serving.standing import StandingAudit, StandingStats
 from repro.serving.store import SessionStore
 from repro.serving.service import StreamingService
@@ -88,7 +82,6 @@ __all__ = [
     "SceneSession",
     "SessionStats",
     "SessionStore",
-    "ShardedRanker",
     "StandingAudit",
     "StandingStats",
     "StreamingService",

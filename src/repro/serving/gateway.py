@@ -13,7 +13,7 @@ byte-exact :class:`~repro.serving.service.StreamingService`:
   front does: :data:`repro.api.frames.MAGIC` opens the v2 binary
   framed conversation (read with
   :func:`repro.api.frames.read_frame_async`), anything else is
-  line-delimited JSON (v0/v1/v2 dialects all ride it). Responses per
+  line-delimited JSON (v1 and v2 requests both ride it). Responses per
   connection come back in request order — the pipelining contract both
   wires already promise.
 
@@ -28,8 +28,9 @@ byte-exact :class:`~repro.serving.service.StreamingService`:
   ``client_budget`` of in-flight requests, or the gateway is
   draining), the request is answered immediately with the typed
   ``overloaded`` protocol code instead of stalling — never a hang,
-  never a silent drop. v1 peers get it as an ordinary structured
-  error; v0 peers get the legacy string dialect. ``details`` carries
+  never a silent drop. Every peer gets it as an ordinary structured
+  error in its own version (a request without one gets this build's
+  version, like any other refusal). ``details`` carries
   ``reason`` plus the queue state so clients can back off sensibly
   (client-side it raises :class:`repro.api.protocol.OverloadedError`).
 
@@ -259,7 +260,7 @@ class AsyncGateway:
         try:
             first = await reader.read(1)
             if first:
-                if first == frames.MAGIC[:1] and self.service.supports_frames:
+                if first == frames.MAGIC[:1]:
                     await self._read_frames(conn, reader, queue, first)
                 else:
                     await self._read_lines(conn, reader, queue, first)
@@ -298,10 +299,7 @@ class AsyncGateway:
                 response = await fut
             except Exception as exc:  # belt: dispatch never raises
                 err = protocol.classify_exception(exc)
-                response = protocol.error_response(
-                    err.code, err.message,
-                    version=self.service.protocol_version,
-                )
+                response = protocol.error_response(err.code, err.message)
             finally:
                 self._unwritten -= 1
             if not peer_alive:
@@ -351,14 +349,11 @@ class AsyncGateway:
             try:
                 request = json.loads(text)
             except json.JSONDecodeError as exc:
-                # Same dialect choice as StreamingService.serve: an
-                # undecodable line has no version to negotiate.
-                if self.service.accept_legacy:
-                    response = {"ok": False, "error": f"bad JSON: {exc}"}
-                else:
-                    response = protocol.error_response(
-                        protocol.BAD_JSON, f"bad JSON: {exc}"
-                    )
+                # Same as StreamingService.serve: an undecodable line
+                # has no version to negotiate.
+                response = protocol.error_response(
+                    protocol.BAD_JSON, f"bad JSON: {exc}"
+                )
                 await self._enqueue(
                     queue, self._completed(response), framed=False
                 )
@@ -375,7 +370,6 @@ class AsyncGateway:
         response = protocol.error_response(
             protocol.FRAME_TOO_LARGE,
             f"request line exceeds {MAX_LINE_BYTES} bytes",
-            version=self.service.protocol_version,
         )
         await self._enqueue(queue, self._completed(response), framed=False)
 
@@ -392,10 +386,7 @@ class AsyncGateway:
             except protocol.TransportError as exc:
                 # Malformed/oversized: report once, then stop — the
                 # stream can no longer be trusted to re-sync.
-                response = protocol.error_response(
-                    exc.code, exc.message,
-                    version=self.service.protocol_version,
-                )
+                response = protocol.error_response(exc.code, exc.message)
                 await self._enqueue(
                     queue, self._completed(response), framed=True
                 )
@@ -553,21 +544,12 @@ class AsyncGateway:
         fut.set_result(response)
         return fut
 
-    def _response_version(self, request) -> int:
-        """The dialect to answer a request the gateway itself refuses."""
-        if isinstance(request, dict) and "v" in request:
-            version = request["v"]
-            if version in self.service.supported_versions:
-                return version
-            return self.service.protocol_version
-        if self.service.accept_legacy:
-            return protocol.LEGACY_VERSION
-        return self.service.protocol_version
-
     def _error_for(self, request, err: protocol.ProtocolError) -> dict:
-        version = self._response_version(request)
-        if version == protocol.LEGACY_VERSION:
-            return {"ok": False, "error": err.message}
+        """A refusal by the gateway itself, in the request's version
+        when this build speaks it and in this build's otherwise."""
+        version = request.get("v") if isinstance(request, dict) else None
+        if version not in protocol.SUPPORTED_VERSIONS:
+            version = protocol.PROTOCOL_VERSION
         return protocol.error_response(
             err.code, err.message, details=err.details, version=version
         )

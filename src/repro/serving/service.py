@@ -48,15 +48,14 @@ handler spans returned on the response's ``spans`` field so the
 coordinator can stitch one end-to-end trace per audit
 (:mod:`repro.obs.trace`).
 
-Every versioned request and response carries ``"v"``, and the service
-answers in the version it was asked in (a v1 client keeps getting v1
-responses from this v2 build); failures come back as
+Every request and response carries ``"v"``, and the service answers in
+the version it was asked in (a v1 client keeps getting v1 responses
+from this v2 build); failures come back as
 ``{"ok": false, "error": {"code", "message", ...}}`` instead of
 raising, so one malformed request cannot take down the serving loop.
-Version-less (v0) requests are answered through a deprecation shim in
-the v0 dialect — string errors, no ``"v"`` — unless the service was
-built with ``accept_legacy=False``, in which case they get a
-structured ``unsupported_version`` error.
+A request without ``"v"`` gets a structured ``unsupported_version``
+error and an undecodable line gets ``bad_json``, both stamped with
+this build's version.
 
 Protocol v2 adds the binary framed wire (:mod:`repro.api.frames`,
 served by :meth:`StreamingService.serve_frames` — the TCP front end
@@ -73,18 +72,16 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 
 from repro.api import frames, protocol
 from repro.core.model import Scene
-from repro.core.scoring import ScoredItem
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import Stopwatch
 from repro.serving.edits import edit_from_dict
 from repro.serving.store import SessionStore
 
-__all__ = ["StreamingService", "scored_item_to_dict"]
+__all__ = ["StreamingService"]
 
 # Per-op serving metrics (names are API — see docs/API.md,
 # "Observability"). Unknown ops collapse into the "unknown" label so a
@@ -125,16 +122,6 @@ def _sanitize_wire_request(request) -> dict:
     return request
 
 
-def scored_item_to_dict(scored: ScoredItem, kind: str) -> dict:
-    """Deprecated: use :meth:`repro.core.scoring.ScoredItem.to_dict`."""
-    warnings.warn(
-        "scored_item_to_dict is deprecated; use ScoredItem.to_dict(kind)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return scored.to_dict(kind)
-
-
 class StreamingService:
     """Dispatches protocol requests onto a :class:`SessionStore`.
 
@@ -144,19 +131,12 @@ class StreamingService:
         max_sessions: Live scene sessions kept before LRU eviction.
         max_standing: Standing-audit subscriptions allowed per session
             (each one is maintained on every edit of that session).
-        accept_legacy: Answer version-less (v0) requests in the v0
-            dialect with a :class:`DeprecationWarning` (default). When
-            false, such requests get ``unsupported_version``.
         capacity: Advertised audit capacity (a unitless weight the
             worker pool uses to size scene partitions; a worker with
             capacity 2 gets roughly twice the scenes of one with 1).
         scene_cache: Decoded scenes kept by content hash for the v2
             content-addressed transport (bounded LRU; also the size
             advertised in ``hello`` so coordinators can mirror it).
-        protocol_version: Highest protocol version to speak (default
-            the build's). Pass ``1`` to emulate a v1-only worker —
-            no framed wire, v2 requests rejected — which is how the
-            mixed-version pool tests stand up "old" workers.
         warehouse: Path to (or instance of) a shared
             :class:`~repro.warehouse.SceneWarehouse`. When set, scene
             hashes that miss the in-memory cache are fetched from the
@@ -170,18 +150,11 @@ class StreamingService:
         self,
         fixy,
         max_sessions: int = 32,
-        accept_legacy: bool = True,
         capacity: int = 1,
         scene_cache: int = 256,
-        protocol_version: int = protocol.PROTOCOL_VERSION,
         max_standing: int = 16,
         warehouse=None,
     ):
-        if protocol_version not in protocol.SUPPORTED_VERSIONS:
-            raise ValueError(
-                f"protocol_version must be one of "
-                f"{protocol.SUPPORTED_VERSIONS}, got {protocol_version!r}"
-            )
         self.warehouse = None
         if warehouse is not None:
             from repro.warehouse import SceneWarehouse
@@ -195,9 +168,7 @@ class StreamingService:
         self.store = SessionStore(
             fixy, max_sessions=max_sessions, max_standing=max_standing
         )
-        self.accept_legacy = accept_legacy
         self.capacity = int(capacity)
-        self.protocol_version = protocol_version
         self.scene_cache = frames.SceneCache(maxsize=scene_cache)
         self.requests_handled = 0
         # Monotonic, deliberately: wall-clock (time.time) steps under
@@ -215,32 +186,15 @@ class StreamingService:
             "stats": self._op_stats,
             "hello": self._op_hello,
             "health": self._op_health,
+            "metrics": self._op_metrics,
         }
-        if self.protocol_version >= 2:
-            # Additive v2 op; a protocol_version=1 service emulates a
-            # pre-observability worker and must not advertise it.
-            self._ops["metrics"] = self._op_metrics
 
     # ------------------------------------------------------------------
-    @property
-    def supports_frames(self) -> bool:
-        """Whether this service speaks the v2 binary framed wire."""
-        return self.protocol_version >= 2
-
-    @property
-    def supported_versions(self) -> tuple[int, ...]:
-        return tuple(
-            v
-            for v in protocol.SUPPORTED_VERSIONS
-            if v <= self.protocol_version
-        )
-
     def handle(self, request: dict) -> dict:
         """Process one request dict; always returns a response dict.
 
         The response is stamped in the request's own version — a v1
-        request gets a v1 response even from a v2 service, which is
-        what keeps mixed-version worker pools interoperable. Every
+        request gets a v1 response even from a v2 service. Every
         request is metered (count, latency, error code by op) into the
         process metrics registry, and a v2 request carrying a
         ``trace_id`` gets its handler spans piggybacked back on the
@@ -254,27 +208,17 @@ class StreamingService:
         _REQUEST_SECONDS.observe(watch.s, op=op_label)
         _REQUESTS.inc(op=op_label)
         if not response.get("ok"):
-            error = response.get("error")
-            code = (
-                error.get("code", protocol.INTERNAL_ERROR)
-                if isinstance(error, dict)
-                else "legacy"  # v0 dialect: a bare string error
-            )
+            code = response["error"].get("code", protocol.INTERNAL_ERROR)
             _ERRORS.inc(op=op_label, code=code)
         return response
 
     def _dispatch_request(self, request: dict) -> dict:
         """Negotiate, dispatch, and classify one request (unmetered)."""
         try:
-            version = protocol.negotiate_version(
-                request, self.accept_legacy, supported=self.supported_versions
-            )
+            version = protocol.negotiate_version(request)
         except protocol.ProtocolError as exc:
             return protocol.error_response(
-                exc.code,
-                exc.message,
-                details=exc.details,
-                version=self.protocol_version,
+                exc.code, exc.message, details=exc.details
             )
         try:
             op = request.get("op")
@@ -288,15 +232,10 @@ class StreamingService:
             payload = self._run_traced(op, handler, request, version)
         except Exception as exc:  # protocol boundary: report, don't die
             error = protocol.classify_exception(exc)
-            if version == protocol.LEGACY_VERSION:
-                # v0 dialect: the error is a bare string.
-                return {"ok": False, "error": error.message}
             return protocol.error_response(
                 error.code, error.message, details=error.details,
                 version=version,
             )
-        if version == protocol.LEGACY_VERSION:
-            return {"ok": True, **payload}
         return protocol.ok_response(payload, version=version)
 
     def _run_traced(self, op, handler, request: dict, version: int) -> dict:
@@ -328,9 +267,8 @@ class StreamingService:
         """Line-delimited JSON loop: one request per input line.
 
         Returns the number of requests handled. Blank lines are
-        skipped; unparseable lines produce an error response like any
-        other bad request (in the v0 dialect when legacy requests are
-        accepted — an undecodable line has no version to negotiate).
+        skipped; an unparseable line gets a ``bad_json`` error stamped
+        with this build's version (it has no version to negotiate).
         """
         handled = 0
         for line in lines:
@@ -340,12 +278,9 @@ class StreamingService:
             try:
                 request = json.loads(line)
             except json.JSONDecodeError as exc:
-                if self.accept_legacy:
-                    response = {"ok": False, "error": f"bad JSON: {exc}"}
-                else:
-                    response = protocol.error_response(
-                        protocol.BAD_JSON, f"bad JSON: {exc}"
-                    )
+                response = protocol.error_response(
+                    protocol.BAD_JSON, f"bad JSON: {exc}"
+                )
             else:
                 response = self.handle(_sanitize_wire_request(request))
             out.write(json.dumps(response) + "\n")
@@ -370,7 +305,6 @@ class StreamingService:
                 protocol.error_response(
                     protocol.BAD_REQUEST,
                     "frame header must be a request object",
-                    version=self.protocol_version,
                 ),
                 [],
             )
@@ -382,12 +316,7 @@ class StreamingService:
                     fingerprint, scene = self.scene_cache.ingest(blob)
                     ingested[fingerprint] = scene
             except protocol.TransportError as exc:
-                return (
-                    protocol.error_response(
-                        exc.code, exc.message, version=self.protocol_version
-                    ),
-                    [],
-                )
+                return protocol.error_response(exc.code, exc.message), []
             header = dict(header)
             # Internal plumbing (never a wire field): the decoded
             # scenes of this request's blobs, held so resolution works
@@ -417,12 +346,7 @@ class StreamingService:
                 # byte stream can no longer be trusted to re-sync.
                 try:
                     frames.write_frame(
-                        writer,
-                        protocol.error_response(
-                            exc.code,
-                            exc.message,
-                            version=self.protocol_version,
-                        ),
+                        writer, protocol.error_response(exc.code, exc.message)
                     )
                 except OSError:
                     pass
@@ -546,12 +470,6 @@ class StreamingService:
         corrupt or absent warehouse entry degrades to ``need`` — the
         coordinator reships the body.
         """
-        if self.protocol_version < 2:
-            raise protocol.ProtocolError(
-                protocol.BAD_REQUEST,
-                "scene_hashes need protocol v2; this worker speaks "
-                f"v{self.protocol_version}",
-            )
         ingested = dict(ingested or {})
         scenes, missing = [], []
         hits = misses = warehouse_fetches = 0
@@ -637,30 +555,21 @@ class StreamingService:
         (the byte-identity precondition across machines).
         """
         learned = self.store.fixy.learned
-        # ``protocol_version`` mirrors the *request's* dialect: a PR-4
-        # coordinator hellos at v1 and requires this field to equal 1,
-        # so an upgraded worker must keep answering 1 there or every
-        # deployed pool rejects it mid-rolling-upgrade. The worker's
+        # ``protocol_version`` mirrors the *request's* dialect: a v1
+        # coordinator requires this field to equal 1. The worker's
         # actual ceiling travels in the additive ``max_protocol_version``
-        # field, which current pools use to negotiate up.
-        request_version = request.get("v")
-        if not isinstance(request_version, int) or request_version < 1:
-            request_version = protocol.BASELINE_VERSION
+        # field, which current pools read at registration.
         return {
-            "protocol_version": min(request_version, self.protocol_version),
-            "max_protocol_version": self.protocol_version,
+            "protocol_version": request["v"],
+            "max_protocol_version": protocol.PROTOCOL_VERSION,
             "model_fingerprint": (
                 learned.fingerprint() if learned is not None else None
             ),
             "capacity": self.capacity,
             "features": [f.name for f in self.store.fixy.features],
             "ops": sorted(self._ops),
-            "wire_formats": (
-                ["json", "frames"] if self.supports_frames else ["json"]
-            ),
-            "scene_cache": (
-                self.scene_cache.maxsize if self.supports_frames else 0
-            ),
+            "wire_formats": ["json", "frames"],
+            "scene_cache": self.scene_cache.maxsize,
             "warehouse": self.warehouse is not None,
         }
 

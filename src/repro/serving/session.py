@@ -330,15 +330,6 @@ class SceneSession:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def rank_tracks(self, track_filter=None, top_k: int | None = None) -> list[ScoredItem]:
-        return self.rank("tracks", track_filter, top_k)
-
-    def rank_bundles(self, bundle_filter=None, top_k: int | None = None) -> list[ScoredItem]:
-        return self.rank("bundles", bundle_filter, top_k)
-
-    def rank_observations(self, obs_filter=None, top_k: int | None = None) -> list[ScoredItem]:
-        return self.rank("observations", obs_filter, top_k)
-
     def rank(self, kind: str, filt=None, top_k: int | None = None) -> list[ScoredItem]:
         """Rank by component kind (:meth:`repro.core.scoring.Scorer.rank`).
 

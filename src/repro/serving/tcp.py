@@ -51,9 +51,7 @@ class _ProtocolHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         service = self.server.service
         first = self.rfile.peek(1)[:1]
-        if first == frames.MAGIC[:1] and getattr(
-            service, "supports_frames", False
-        ):
+        if first == frames.MAGIC[:1]:
             service.serve_frames(self.rfile, self.wfile)
             return
         reader = self.rfile

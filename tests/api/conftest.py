@@ -26,15 +26,3 @@ def tcp_workers(api_fixy):
     yield [w.address for w in workers]
     for worker in workers:
         worker.stop()
-
-
-@pytest.fixture(scope="session")
-def mixed_workers(api_fixy):
-    """A mixed-version pool: one v1-only worker (a pre-frames build,
-    line-JSON only) and one current v2 worker, same engine — the
-    rolling-upgrade scenario the wire negotiation must survive."""
-    old = TcpWorker(api_fixy, protocol_version=1)
-    new = TcpWorker(api_fixy)
-    yield [old.address, new.address]
-    old.stop()
-    new.stop()

@@ -144,13 +144,13 @@ class TestResult:
 
     def test_provenance_round_trip(self):
         prov = AuditProvenance(
-            backend="sharded",
+            backend="remote",
             spec_hash="abc",
             model_fingerprint=None,
             n_scenes=3,
             api_version=1,
             timings={"rank_s": 0.5},
-            backend_options={"n_workers": 2},
+            backend_options={"workers": ["h:1", "h:2"]},
         )
         assert AuditProvenance.from_dict(prov.to_dict()) == prov
 

@@ -19,7 +19,7 @@ from repro.api.backends import _BACKENDS
 
 from tests.core.conftest import make_obs, make_track, scene_of
 
-ALL_BACKENDS = ("inline", "threaded", "sharded", "session", "remote")
+ALL_BACKENDS = ("inline", "session", "remote")
 
 
 def backend_options(backend: str, workers) -> dict:
@@ -95,7 +95,7 @@ class TestBackendEquivalence:
     def test_equivalence_property(
         self, api_fixy, tcp_workers, seed, n_scenes, kind, top_k, filtered
     ):
-        """inline/threaded/sharded/session/remote return byte-identical
+        """inline/session/remote return byte-identical
         rankings for the same AuditSpec on randomized scenes (remote
         runs over 2 real TCP workers)."""
         spec = AuditSpec(
@@ -133,18 +133,16 @@ class TestBackendEquivalence:
         self,
         api_fixy,
         tcp_workers,
-        mixed_workers,
         seed,
         n_scenes,
         kind,
         top_k,
         chunk_scenes,
     ):
-        """The v2 framed wire (content-addressed, chunk-pipelined), the
-        v1 line-JSON wire, and a mixed v1+v2 pool all return rankings
-        byte-identical to inline for the same AuditSpec on randomized
-        scenes — wire format is a transport choice, not a results
-        choice."""
+        """The v2 framed wire (content-addressed, chunk-pipelined),
+        cold and warm, returns rankings byte-identical to inline for
+        the same AuditSpec on randomized scenes — the wire is a
+        transport choice, not a results choice."""
         spec = AuditSpec(kind=kind, top_k=top_k)
         scenes = random_scenes(seed=seed, n_scenes=n_scenes)
         with Audit(spec, fixy=api_fixy) as audit:
@@ -154,27 +152,12 @@ class TestBackendEquivalence:
                     scenes=scenes,
                     backend="remote",
                     workers=list(tcp_workers),
-                    wire="v2",
                     chunk_scenes=chunk_scenes,
                 ),
                 "v2-warm": audit.run(
                     scenes=scenes,
                     backend="remote",
                     workers=list(tcp_workers),
-                    wire="v2",
-                    chunk_scenes=chunk_scenes,
-                ),
-                "v1": audit.run(
-                    scenes=scenes,
-                    backend="remote",
-                    workers=list(tcp_workers),
-                    wire="v1",
-                    chunk_scenes=chunk_scenes,
-                ),
-                "mixed": audit.run(
-                    scenes=scenes,
-                    backend="remote",
-                    workers=list(mixed_workers),
                     chunk_scenes=chunk_scenes,
                 ),
             }
@@ -200,21 +183,26 @@ class TestBackendEquivalence:
             }
         assert hashes == {spec.spec_hash()}
 
-    def test_executor_reused_across_runs_and_released_on_close(self, api_fixy):
+    def test_executor_reused_across_runs_and_released_on_close(
+        self, api_fixy, tcp_workers
+    ):
         spec = AuditSpec(
-            kind="tracks", backend="sharded", backend_options={"n_workers": 1}
+            kind="tracks",
+            backend="remote",
+            backend_options={"workers": list(tcp_workers)},
         )
+        key = ("remote", (("workers", tuple(tcp_workers)),))
         scenes = random_scenes(seed=9, n_scenes=1)
         audit = Audit(spec, fixy=api_fixy)
         first = audit.run(scenes=scenes)
-        executor = audit._executors[("sharded", (("n_workers", 1),))]
-        assert executor._ranker is not None  # pool is live between runs
+        executor = audit._executors[key]
+        assert executor._pool is not None  # pool is live between runs
         second = audit.run(scenes=scenes)
-        assert audit._executors[("sharded", (("n_workers", 1),))] is executor
+        assert audit._executors[key] is executor
         assert signature(first) == signature(second)
         audit.close()
         assert audit._executors == {}
-        assert executor._ranker is None  # pool shut down
+        assert executor._pool is None  # pool shut down
         # close() is idempotent and the audit still runs afterwards.
         audit.close()
         assert signature(audit.run(scenes=scenes)) == signature(first)
@@ -228,8 +216,8 @@ class TestBackendEquivalence:
 
 
 class TestRegistry:
-    def test_five_builtin_backends(self):
-        assert set(ALL_BACKENDS) <= set(available_backends())
+    def test_three_builtin_backends(self):
+        assert available_backends() == sorted(ALL_BACKENDS)
 
     def test_unknown_backend_is_typed_and_lists_valid(self):
         with pytest.raises(UnknownBackendError, match="unknown backend") as exc:
@@ -254,26 +242,26 @@ class TestRegistry:
         finally:
             _BACKENDS.pop("loopback", None)
 
-    def test_backend_is_context_manager(self, api_fixy):
+    def test_backend_is_context_manager(self, api_fixy, tcp_workers):
         spec = AuditSpec(kind="tracks")
         scenes = random_scenes(seed=2, n_scenes=1)
-        with get_backend("sharded", n_workers=1) as backend:
+        with get_backend("remote", workers=list(tcp_workers)) as backend:
             ranked = backend.run(api_fixy, spec, scenes, None)
         inline = get_backend("inline").run(api_fixy, spec, scenes, None)
         assert [s.to_dict("tracks") for s in ranked] == [
             s.to_dict("tracks") for s in inline
         ]
 
-    def test_threaded_n_jobs_option(self, api_fixy):
+    def test_spec_backend_options_recorded(self, api_fixy):
         spec = AuditSpec(
-            kind="tracks", backend="threaded", backend_options={"n_jobs": 2}
+            kind="tracks", backend="session", backend_options={"standing": False}
         )
         audit = Audit(spec, fixy=api_fixy)
         scenes = random_scenes(seed=5, n_scenes=3)
-        threaded = audit.run(scenes=scenes)  # spec's backend + options
-        assert threaded.provenance.backend_options == {"n_jobs": 2}
+        session = audit.run(scenes=scenes)  # spec's backend + options
+        assert session.provenance.backend_options == {"standing": False}
         # Overriding the backend drops the spec's options (they belong
         # to the spec's declared backend).
         inline = audit.run(scenes=scenes, backend="inline")
         assert inline.provenance.backend_options == {}
-        assert signature(threaded) == signature(inline)
+        assert signature(session) == signature(inline)

@@ -308,26 +308,6 @@ class TestFramedTransport:
         finally:
             worker.stop()
 
-    def test_v1_only_service_ignores_frame_magic(self, api_fixy):
-        """A worker emulating the pre-frames build treats a frame as a
-        garbage JSON line — the old behavior, proving the magic is only
-        ever interpreted by servers that advertise frames."""
-        worker = TcpWorker(
-            api_fixy, protocol_version=1, accept_legacy=False
-        )
-        try:
-            # A frame contains no newline, so the v1 line loop just
-            # waits for more bytes — the short deadline turns that
-            # into a typed timeout (a real coordinator never gets
-            # here: it checks hello's wire_formats first).
-            with AuditClient.connect(
-                worker.address, wire="frames", timeout=1.0
-            ) as client:
-                with pytest.raises(protocol.TransportError):
-                    client.hello()
-        finally:
-            worker.stop()
-
     def test_line_json_clients_unaffected_on_same_port(
         self, api_fixy, tcp_workers
     ):

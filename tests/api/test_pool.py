@@ -239,6 +239,14 @@ class TestRemoteBackend:
         assert exc.value.code == "worker_unavailable"
 
 
+class _JsonOnlyService(StreamingService):
+    """A worker whose ``hello`` advertises line-JSON only, as a build
+    without the framed wire answers."""
+
+    def _op_hello(self, request):
+        return {**super()._op_hello(request), "wire_formats": ["json"]}
+
+
 class TestWireNegotiation:
     def test_register_records_wire_and_version(self, tcp_workers):
         pool = WorkerPool(tcp_workers)
@@ -247,45 +255,11 @@ class TestWireNegotiation:
             assert endpoint.protocol_version == protocol.PROTOCOL_VERSION
             assert endpoint.supports_frames
 
-    def test_v1_worker_negotiates_down(self, api_fixy, mixed_workers):
-        pool = WorkerPool(mixed_workers)
-        pool.connect()
-        old, new = pool.endpoints
-        assert old.protocol_version == 1 and not old.supports_frames
-        assert new.protocol_version == 2 and new.supports_frames
-
-    def test_mixed_pool_audit_matches_inline(self, api_fixy, mixed_workers):
-        """Acceptance: a v1-only worker (the pre-frames serve) still
-        completes an audit against a v2 coordinator via hello
-        negotiation — in the same pool as a framed worker — and the
-        merged ranking stays byte-identical to inline."""
-        spec = AuditSpec(kind="tracks", top_k=10)
-        scenes = [model_scene(f"mix-{i}", n_tracks=3) for i in range(4)]
-        with Audit(spec, fixy=api_fixy) as audit:
-            inline = audit.run(scenes=scenes)
-            mixed = audit.run(
-                scenes=scenes, backend="remote", workers=list(mixed_workers)
-            )
-        assert signature(mixed.items) == signature(inline.items)
-        wires = {r["worker"]: r["wire"] for r in mixed.provenance.workers}
-        assert wires == {mixed_workers[0]: "v1", mixed_workers[1]: "v2"}
-
-    def test_wire_v1_forces_line_json_everywhere(self, api_fixy, tcp_workers):
-        spec = AuditSpec(kind="tracks", top_k=5)
-        scenes = [model_scene(f"f1-{i}", n_tracks=3) for i in range(2)]
-        with Audit(spec, fixy=api_fixy) as audit:
-            result = audit.run(
-                scenes=scenes,
-                backend="remote",
-                workers=list(tcp_workers),
-                wire="v1",
-            )
-        assert {r["wire"] for r in result.provenance.workers} == {"v1"}
-
-    def test_wire_v2_rejects_v1_only_worker(self, api_fixy, mixed_workers):
-        pool = WorkerPool([mixed_workers[0]], wire="v2")
-        with pytest.raises(protocol.ProtocolError) as exc:
-            pool.connect()
+    def test_wire_v2_rejects_v1_only_worker(self, api_fixy):
+        with TcpWorker(service=_JsonOnlyService(api_fixy)) as old:
+            pool = WorkerPool([old.address])
+            with pytest.raises(protocol.ProtocolError) as exc:
+                pool.connect()
         assert exc.value.code == "unsupported_version"
         assert "framed wire" in exc.value.message
 
@@ -385,7 +359,7 @@ class TestContentAddressedDispatch:
     ):
         """The coordinator encodes each scene once per pool, ever —
         requeues and repeat audits reuse the cached bytes instead of
-        re-running Scene.to_dict + pack."""
+        packing again."""
         from repro.api import frames as frames_mod
         from repro.api import pool as pool_mod
 

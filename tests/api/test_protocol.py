@@ -1,6 +1,6 @@
-"""Versioned wire protocol: negotiation, structured errors, the client,
-transport hardening (EOF / garbage / timeout), worker registration ops,
-and the legacy (v0) deprecation shim."""
+"""Versioned wire protocol: negotiation, structured errors on every
+front, the client, transport hardening (EOF / garbage / timeout), and
+worker registration ops."""
 
 import io
 import json
@@ -11,20 +11,21 @@ import pytest
 
 from repro.api import AuditClient, AuditSpec, FilterSpec
 from repro.api import protocol
-from repro.serving import InsertObservation, StreamingService
+from repro.api.client import parse_address
+from repro.serving import (
+    GatewayWorker,
+    InsertObservation,
+    StreamingService,
+    TcpWorker,
+)
 
 from tests.core.conftest import make_obs
-from tests.serving.conftest import model_scene
+from tests.serving.conftest import GatedService, model_scene
 
 
 @pytest.fixture
 def service(api_fixy):
     return StreamingService(api_fixy, max_sessions=4)
-
-
-@pytest.fixture
-def strict_service(api_fixy):
-    return StreamingService(api_fixy, max_sessions=4, accept_legacy=False)
 
 
 class TestVersionNegotiation:
@@ -48,52 +49,94 @@ class TestVersionNegotiation:
             )
 
     def test_v1_request_answered_in_v1(self, service):
-        """A v2 build answers a v1 peer in the v1 dialect — the
-        mixed-version pool precondition."""
+        """A v2 build answers a v1 peer in the v1 dialect."""
         response = service.handle({"v": 1, "op": "stats"})
         assert response["ok"] is True
         assert response["v"] == 1
         error = service.handle({"v": 1, "op": "warp"})
         assert error["ok"] is False and error["v"] == 1
 
-    def test_v1_only_service_rejects_v2(self, api_fixy):
-        """protocol_version=1 emulates a pre-frames worker."""
-        old = StreamingService(api_fixy, protocol_version=1)
-        assert not old.supports_frames
-        assert old.handle({"v": 1, "op": "stats"})["ok"] is True
-        rejected = old.handle({"v": 2, "op": "stats"})
-        assert rejected["ok"] is False
-        assert rejected["error"]["code"] == "unsupported_version"
-        assert rejected["error"]["details"]["supported"] == [1]
-        assert old.handle(protocol.make_request("hello", version=1))[
-            "wire_formats"
-        ] == ["json"]
-
-    def test_legacy_request_works_with_deprecation_warning(self, service):
-        scene = model_scene("legacy", n_tracks=2)
-        with pytest.warns(DeprecationWarning, match="version-less"):
-            opened = service.handle({"op": "open", "scene": scene.to_dict()})
-        # v0 dialect: no version field, plain fields, ok flag.
-        assert opened["ok"] is True
-        assert "v" not in opened
-        assert opened["session_id"] == "legacy"
-        with pytest.warns(DeprecationWarning):
-            ranked = service.handle(
-                {"op": "rank", "session_id": "legacy", "top_k": 1}
-            )
-        assert ranked["ok"] and len(ranked["results"]) == 1
-
-    def test_legacy_errors_stay_strings(self, service):
-        with pytest.warns(DeprecationWarning):
-            response = service.handle({"op": "warp"})
-        assert response["ok"] is False
-        assert isinstance(response["error"], str)
-        assert "unknown op" in response["error"]
-
-    def test_strict_service_rejects_versionless(self, strict_service):
-        response = strict_service.handle({"op": "stats"})
+    def test_strict_service_rejects_versionless(self, service):
+        response = service.handle({"op": "stats"})
         assert response["ok"] is False
         assert response["error"]["code"] == "unsupported_version"
+
+
+def _stdio_exchange(fixy, tmp_path, lines: list[str]) -> list[dict]:
+    """Feed ``lines`` to ``repro.cli serve`` over stdio."""
+    from repro.cli import _cmd_serve, build_parser
+
+    model_path = tmp_path / "model.json"
+    fixy.learned.save(model_path)
+    args = build_parser().parse_args(["serve", "--model", str(model_path)])
+    out = io.StringIO()
+    stdin = io.StringIO("\n".join(lines))
+    assert _cmd_serve(args, stdin=stdin, stdout=out) == 0
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def _socket_exchange(address, lines: list[str]) -> list[dict]:
+    """Send ``lines`` one at a time over one line-JSON connection."""
+    sock = socket.create_connection(parse_address(address), timeout=30)
+    with sock, sock.makefile("rwb") as stream:
+        responses = []
+        for line in lines:
+            stream.write(line.encode("utf-8") + b"\n")
+            stream.flush()
+            responses.append(json.loads(stream.readline()))
+    return responses
+
+
+class TestOneDialect:
+    @pytest.mark.parametrize("front", ["stdio", "tcp", "gateway"])
+    def test_unversioned_and_bad_json_are_structured(
+        self, api_fixy, tmp_path, front
+    ):
+        """Every front answers a request without ``"v"`` with a
+        structured ``unsupported_version`` and an undecodable line with
+        ``bad_json``, both stamped with this build's version, and keeps
+        serving versioned requests on the same stream. The gateway's
+        load shedding answers a version-less request the same way."""
+        lines = [
+            json.dumps({"op": "stats"}),
+            "this is not json",
+            json.dumps({"v": 1, "op": "stats"}),
+        ]
+        if front == "stdio":
+            responses = _stdio_exchange(api_fixy, tmp_path, lines)
+        elif front == "tcp":
+            with TcpWorker(api_fixy) as worker:
+                responses = _socket_exchange(worker.address, lines)
+        else:
+            service = GatedService(api_fixy)
+            with GatewayWorker(
+                service=service, max_inflight=1, max_queue=0
+            ) as worker:
+                responses = _socket_exchange(worker.address, lines)
+                sock = socket.create_connection(
+                    parse_address(worker.address), timeout=30
+                )
+                with sock, sock.makefile("rwb") as parked:
+                    # Park the only executor thread, then shed.
+                    parked.write(b'{"v": 1, "op": "stats", "gate": true}\n')
+                    parked.flush()
+                    assert service.entered.wait(timeout=10)
+                    (shed,) = _socket_exchange(
+                        worker.address, [json.dumps({"op": "stats"})]
+                    )
+                    service.release()
+                    assert json.loads(parked.readline())["ok"] is True
+            assert shed["ok"] is False
+            assert shed["v"] == protocol.PROTOCOL_VERSION
+            assert shed["error"]["code"] == protocol.OVERLOADED
+        unversioned, garbage, v1 = responses
+        assert unversioned["ok"] is False
+        assert unversioned["v"] == protocol.PROTOCOL_VERSION
+        assert unversioned["error"]["code"] == protocol.UNSUPPORTED_VERSION
+        assert garbage["ok"] is False
+        assert garbage["v"] == protocol.PROTOCOL_VERSION
+        assert garbage["error"]["code"] == protocol.BAD_JSON
+        assert v1["ok"] is True and v1["v"] == 1
 
 
 class TestStructuredErrors:

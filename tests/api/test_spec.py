@@ -180,11 +180,11 @@ class TestAuditSpec:
 
     def test_with_backend_copy(self):
         spec = AuditSpec(top_k=3)
-        sharded = spec.with_backend("sharded", n_workers=4)
-        assert sharded.backend == "sharded"
-        assert sharded.backend_options == {"n_workers": 4}
+        remote = spec.with_backend("remote", workers=["h:1"])
+        assert remote.backend == "remote"
+        assert remote.backend_options == {"workers": ["h:1"]}
         assert spec.backend == "inline"  # original untouched
-        assert sharded.top_k == 3
+        assert remote.top_k == 3
 
     def test_hash_is_stable_and_sensitive(self):
         a = AuditSpec(kind="tracks", top_k=5)
@@ -211,7 +211,7 @@ class TestAuditSpec:
             ),
         ),
         features=st.sampled_from(["default", "model_error"]),
-        backend=st.sampled_from(["inline", "threaded", "sharded", "session"]),
+        backend=st.sampled_from(["inline", "session", "remote"]),
     )
     def test_spec_json_round_trip_property(
         self, kind, top_k, has_model, has_human, min_obs, classes, features, backend

@@ -172,9 +172,9 @@ def assert_same_scores(scene, vectorized, scalar):
             _assert_score_equal(
                 scorer_v.score_observation(obs), scorer_s.score_observation(obs)
             )
-    for method in ("rank_tracks", "rank_bundles", "rank_observations"):
-        ranked_v = getattr(scorer_v, method)()
-        ranked_s = getattr(scorer_s, method)()
+    for kind in ("tracks", "bundles", "observations"):
+        ranked_v = scorer_v.rank(kind)
+        ranked_s = scorer_s.rank(kind)
         assert len(ranked_v) == len(ranked_s)
         for item_v, item_s in zip(ranked_v, ranked_s):
             assert item_v.track_id == item_s.track_id
@@ -242,7 +242,7 @@ class TestVectorizedEqualsScalar:
         )
         assert Scorer(vec).score_track(track) == -math.inf
         assert Scorer(ref).score_track(track) == -math.inf
-        assert Scorer(vec).rank_tracks() == []
+        assert Scorer(vec).rank("tracks") == []
 
     def test_custom_noncontiguous_feature_fallback(self, learned):
         """Custom observations_of (endpoints) rides the override path."""
@@ -349,8 +349,8 @@ class TestReviewRegressions:
         ref = compile_scene(scene, [feature], vectorized=False)
         assert not vec.columns.track_slices_cover_members
         scorer_v, scorer_r = Scorer(vec), Scorer(ref)
-        ranked_v = scorer_v.rank_tracks()
-        ranked_r = scorer_r.rank_tracks()
+        ranked_v = scorer_v.rank("tracks")
+        ranked_r = scorer_r.rank("tracks")
         assert [(i.track_id, i.n_factors) for i in ranked_v] == [
             (i.track_id, i.n_factors) for i in ranked_r
         ]
@@ -476,18 +476,6 @@ class TestEngineFastPath:
         scene = scene_of([moving_track("t", n_frames=5)], scene_id="cache3")
         assert fixy.compile(scene) is not fixy.compile(scene)
 
-    def test_parallel_rank_matches_serial(self, training_scenes):
-        scenes = [
-            random_scene(seed, scene_id=f"par-{seed}") for seed in (1, 2, 3, 4)
-        ]
-        serial = Fixy(default_features(), n_jobs=1).fit(training_scenes)
-        parallel = Fixy(default_features(), n_jobs=3).fit(training_scenes)
-        ranked_serial = serial.rank_tracks(scenes)
-        ranked_parallel = parallel.rank_tracks(scenes)
-        assert [
-            (s.scene_id, s.track_id, s.score) for s in ranked_serial
-        ] == [(s.scene_id, s.track_id, s.score) for s in ranked_parallel]
-
     def test_duplicate_feature_names_reported(self):
         with pytest.raises(ValueError) as excinfo:
             Fixy([VolumeFeature(), CountFeature(), VolumeFeature()])
@@ -501,8 +489,8 @@ class TestEngineFastPath:
         reference = Fixy(
             default_features(), vectorized=False, fast_density=False
         ).fit(training_scenes)
-        ranked_fast = fast.rank_tracks(scene)
-        ranked_ref = reference.rank_tracks(scene)
+        ranked_fast = fast.rank(scene, "tracks")
+        ranked_ref = reference.rank(scene, "tracks")
         assert [s.track_id for s in ranked_fast] == [
             s.track_id for s in ranked_ref
         ]

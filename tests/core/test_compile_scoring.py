@@ -187,26 +187,26 @@ class TestScoringSemantics:
 
 
 class TestRanking:
-    def test_rank_tracks_ordering(self, learned):
+    def test_track_ranking_ordering(self, learned):
         good = moving_track("good", n_frames=8, speed=2.0)
         bad = moving_track("bad", n_frames=8, speed=25.0, l=2.0, w=3.5, h=0.5,
                            start_x=100.0)
         compiled = compile_simple(learned, [bad, good])
-        ranked = Scorer(compiled).rank_tracks()
+        ranked = Scorer(compiled).rank("tracks")
         assert [s.track_id for s in ranked] == ["good", "bad"]
         assert ranked[0].score > ranked[1].score
 
     def test_rank_excludes_infinite(self, learned):
         track = moving_track("t", n_frames=2)  # count feature zeroes it
         compiled = compile_simple(learned, [track])
-        ranked = Scorer(compiled).rank_tracks()
+        ranked = Scorer(compiled).rank("tracks")
         assert ranked == []
 
     def test_rank_filter(self, learned):
         a = moving_track("a", n_frames=5)
         b = moving_track("b", n_frames=5, start_x=100.0)
         compiled = compile_simple(learned, [a, b])
-        ranked = Scorer(compiled).rank_tracks(lambda t: t.track_id == "b")
+        ranked = Scorer(compiled).rank("tracks", lambda t: t.track_id == "b")
         assert [s.track_id for s in ranked] == ["b"]
 
     def test_invert_aof_flips_ordering(self, learned, training_scenes):
@@ -220,17 +220,17 @@ class TestRanking:
             scene, feats, learned=learned,
             aofs={f.name: InvertAOF() for f in feats if f.learnable},
         )
-        plain_rank = [s.track_id for s in Scorer(plain).rank_tracks()]
-        inv_rank = [s.track_id for s in Scorer(inverted).rank_tracks()]
+        plain_rank = [s.track_id for s in Scorer(plain).rank("tracks")]
+        inv_rank = [s.track_id for s in Scorer(inverted).rank("tracks")]
         assert plain_rank == ["good", "bad"]
         assert inv_rank == ["bad", "good"]
 
-    def test_rank_bundles_and_observations(self, learned):
+    def test_bundle_and_observation_ranking(self, learned):
         track = moving_track("t", n_frames=5)
         compiled = compile_simple(learned, [track])
         scorer = Scorer(compiled)
-        bundles = scorer.rank_bundles()
-        observations = scorer.rank_observations()
+        bundles = scorer.rank("bundles")
+        observations = scorer.rank("observations")
         assert len(bundles) == 5
         assert len(observations) == 5
         assert all(b.track_id == "t" for b in bundles)
@@ -309,7 +309,7 @@ class TestScoredItemDict:
         from repro.core import ScoredItem
 
         compiled = compile_simple(learned, [moving_track("t", n_frames=5)])
-        scored = Scorer(compiled).rank_tracks()[0]
+        scored = Scorer(compiled).rank("tracks")[0]
         payload = scored.to_dict()
         assert payload["kind"] == "track"
         assert payload["n_observations"] == 5
@@ -326,11 +326,11 @@ class TestScoredItemDict:
     def test_kind_override_and_derivation(self, learned):
         compiled = compile_simple(learned, [moving_track("t", n_frames=5)])
         scorer = Scorer(compiled)
-        obs = scorer.rank_observations()[0]
+        obs = scorer.rank("observations")[0]
         assert obs.kind == "observation"
         assert obs.to_dict()["obs_id"]
         assert obs.to_dict("observations")["kind"] == "observation"
-        bundle = scorer.rank_bundles()[0]
+        bundle = scorer.rank("bundles")[0]
         assert bundle.to_dict()["kind"] == "bundle"
         assert "frame" in bundle.to_dict()
 

@@ -36,7 +36,7 @@ class TestFixyEngine:
     def test_fit_required_before_rank(self, training_scenes):
         fixy = Fixy(default_features())
         with pytest.raises(RuntimeError):
-            fixy.rank_tracks(scene_of([moving_track("t", n_frames=5)]))
+            fixy.rank(scene_of([moving_track("t", n_frames=5)]), "tracks")
         fixy.fit(training_scenes)
         assert fixy.is_fitted
 
@@ -48,14 +48,14 @@ class TestFixyEngine:
         from repro.core import CountFeature, DistanceFeature
 
         fixy = Fixy([DistanceFeature(), CountFeature()])
-        ranked = fixy.rank_tracks(scene_of([moving_track("t", n_frames=5)]))
+        ranked = fixy.rank(scene_of([moving_track("t", n_frames=5)]), "tracks")
         assert len(ranked) == 1
 
     def test_rank_accepts_single_scene_or_list(self, fitted_fixy):
         scene_a = scene_of([moving_track("a", n_frames=5)], scene_id="sa")
         scene_b = scene_of([moving_track("b", n_frames=5)], scene_id="sb")
-        single = fitted_fixy.rank_tracks(scene_a)
-        both = fitted_fixy.rank_tracks([scene_a, scene_b])
+        single = fitted_fixy.rank(scene_a, "tracks")
+        both = fitted_fixy.rank([scene_a, scene_b], "tracks")
         assert len(single) == 1
         assert len(both) == 2
         assert {s.scene_id for s in both} == {"sa", "sb"}
@@ -64,7 +64,7 @@ class TestFixyEngine:
         scenes = scene_of(
             [moving_track(f"t{i}", n_frames=5, start_x=50.0 * i) for i in range(5)]
         )
-        assert len(fitted_fixy.rank_tracks(scenes, top_k=3)) == 3
+        assert len(fitted_fixy.rank(scenes, "tracks", top_k=3)) == 3
 
 
 class TestTopKPerClass:
@@ -78,7 +78,7 @@ class TestTopKPerClass:
             )
             for i in range(4)
         ]
-        ranked = fitted_fixy.rank_tracks(scene_of(tracks))
+        ranked = fitted_fixy.rank(scene_of(tracks), "tracks")
         limited = top_k_per_class(ranked, k=2)
         classes = [s.item.majority_class() for s in limited]
         assert classes.count("car") == 2
@@ -184,14 +184,7 @@ class TestModelErrorFinder:
 
 
 class TestFixyRankDispatch:
-    """Fixy.rank is the supported imperative surface; rank_* are shims."""
-
-    def test_rank_matches_legacy_methods(self, fitted_fixy):
-        scene = scene_of([moving_track(f"t{i}", n_frames=5, start_x=30.0 * i)
-                          for i in range(3)], scene_id="dispatch")
-        with pytest.warns(DeprecationWarning):
-            legacy = fitted_fixy.rank_tracks(scene, top_k=2)
-        assert fitted_fixy.rank(scene, "tracks", top_k=2) == legacy
+    """Fixy.rank is the one imperative ranking surface."""
 
     def test_rank_typo_is_typed_before_compiling(self, fitted_fixy):
         from repro.core import UnknownRankKindError
@@ -202,26 +195,3 @@ class TestFixyRankDispatch:
     def test_rank_kind_singular_accepted(self, fitted_fixy):
         scene = scene_of([moving_track("t", n_frames=5)])
         assert fitted_fixy.rank(scene, "track") == fitted_fixy.rank(scene, "tracks")
-
-    def test_rank_n_jobs_override_identical(self, fitted_fixy):
-        scenes = [
-            scene_of([moving_track(f"t{i}", n_frames=5)], scene_id=f"nj{i}")
-            for i in range(4)
-        ]
-        serial = fitted_fixy.rank(scenes, "tracks", n_jobs=1)
-        threaded = fitted_fixy.rank(scenes, "tracks", n_jobs=3)
-        assert serial == threaded
-
-    @pytest.mark.parametrize(
-        "method,kind",
-        [
-            ("rank_tracks", "tracks"),
-            ("rank_bundles", "bundles"),
-            ("rank_observations", "observations"),
-        ],
-    )
-    def test_legacy_rank_methods_warn_and_delegate(self, fitted_fixy, method, kind):
-        scene = scene_of([moving_track("t", n_frames=5)], scene_id="warns")
-        with pytest.warns(DeprecationWarning, match=f"Fixy.{method}"):
-            legacy = getattr(fitted_fixy, method)(scene)
-        assert legacy == fitted_fixy.rank(scene, kind)

@@ -91,7 +91,7 @@ class TestHeadingAlignment:
                 object_class="car", source="human",
             )] for f in range(6)},
         )
-        ranked = fixy.rank_tracks(scene_of([aligned, sideways]))
+        ranked = fixy.rank(scene_of([aligned, sideways]), "tracks")
         assert [s.track_id for s in ranked] == ["aligned", "sideways"]
 
 
@@ -188,5 +188,5 @@ class TestVolumeAspect:
                 object_class="car", source="human",
             )] for f in range(4)},
         )
-        ranked = fixy.rank_tracks(scene_of([normal, stretched]))
+        ranked = fixy.rank(scene_of([normal, stretched]), "tracks")
         assert [s.track_id for s in ranked] == ["normal", "stretched"]

@@ -91,7 +91,7 @@ def test_scores_bounded_by_extremes(track_potentials):
 @given(potentials_list)
 def test_ranking_sorted_descending(track_potentials):
     compiled, _ = build_compiled(track_potentials)
-    ranked = Scorer(compiled).rank_tracks()
+    ranked = Scorer(compiled).rank("tracks")
     scores = [s.score for s in ranked]
     assert scores == sorted(scores, reverse=True)
     assert len(ranked) == len(track_potentials)
@@ -135,4 +135,4 @@ class TestZeroPropagation:
         compiled.graph.factor(name).payload.value = 0.0  # keep graph in sync
         scorer = Scorer(compiled)
         assert scorer.score_track(tracks[0]) == -math.inf
-        assert scorer.rank_tracks() == []
+        assert scorer.rank("tracks") == []

@@ -150,7 +150,7 @@ class TestSceneSerialization:
 
         fixy = Fixy(generic_features()).fit(training_scenes)
         scene = self.make_scene()
-        original = [(s.track_id, s.score) for s in fixy.rank_tracks(scene)]
+        original = [(s.track_id, s.score) for s in fixy.rank(scene, "tracks")]
 
         path = tmp_path / "scene.json"
         scene.save(path)
@@ -158,7 +158,7 @@ class TestSceneSerialization:
 
         fixy2 = Fixy(generic_features())
         fixy2.learned = LearnedModel.load(tmp_path / "model.json")
-        reloaded = [(s.track_id, s.score) for s in fixy2.rank_tracks(Scene.load(path))]
+        reloaded = [(s.track_id, s.score) for s in fixy2.rank(Scene.load(path), "tracks")]
         assert [(t, pytest.approx(x)) for t, x in original] == reloaded
 
 

@@ -46,11 +46,6 @@ def test_smoke_writes_full_report(harness_module, tmp_path, capsys):
     assert delta["delta_ms"] > 0 and delta["full_ms"] > 0
     assert delta["speedup"] is not None
 
-    sharding = serving["sharding"]
-    assert sharding["byte_identical"] is True
-    assert sharding["process_cases"][0]["n_workers"] == 1
-    assert sharding["process_cases"][0]["scenes_per_s"] > 0
-
     remote = serving["remote"]
     assert remote["byte_identical"] is True
     assert remote["worker_cases"][0]["n_workers"] == 2  # --smoke sweep
@@ -107,7 +102,7 @@ def test_merge_unrun_sections_prefers_fresh_measurements(harness_module):
     baseline = {
         "generated_at": 1.0,
         "ab": {"old": True},
-        "serving": {"remote": {"old": True}, "sharding": {"old": True}},
+        "serving": {"remote": {"old": True}, "standing_audit": {"old": True}},
         "warehouse": {"old": True},
     }
     report = {
@@ -118,7 +113,7 @@ def test_merge_unrun_sections_prefers_fresh_measurements(harness_module):
     assert merged["generated_at"] == 2.0
     assert merged["ab"] == {"old": True}  # carried over
     assert merged["warehouse"] == {"old": True}  # carried over
-    assert merged["serving"]["sharding"] == {"old": True}  # subsection kept
+    assert merged["serving"]["standing_audit"] == {"old": True}  # kept
     assert merged["serving"]["remote"] == {"fresh": True}  # fresh wins
     assert merged["serving"]["gateway"] == {"fresh": True}
     # No baseline at all: the report passes through untouched.

@@ -1,8 +1,11 @@
 """Shared fixtures for serving-layer tests: a fitted engine + scenes."""
 
+import threading
+
 import pytest
 
 from repro.core import Fixy, default_features
+from repro.serving import StreamingService
 
 from tests.core.conftest import moving_track, scene_of
 
@@ -56,3 +59,27 @@ def model_scene(scene_id="live", n_tracks=4, n_frames=6):
         ],
         scene_id=scene_id,
     )
+
+
+class GatedService(StreamingService):
+    """A service whose handlers park on an event when asked to.
+
+    A request carrying ``"gate": true`` blocks inside the executor
+    thread until :meth:`release` — the deterministic way to hold the
+    gateway's admission window open while a test probes shedding,
+    coalescing, or drain.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entered = threading.Event()
+        self._release = threading.Event()
+
+    def release(self):
+        self._release.set()
+
+    def handle(self, request):
+        if isinstance(request, dict) and request.get("gate"):
+            self.entered.set()
+            assert self._release.wait(timeout=30), "gate never released"
+        return super().handle(request)

@@ -2,7 +2,7 @@
 
 The gateway's contract is that it *is* the threaded front, minus the
 thread-per-connection: every response byte-identical, both wires
-spoken, v0 requests still shimmed — plus the new admission behavior
+spoken — plus the new admission behavior
 (typed ``overloaded`` shedding, never a hang or a silent drop) and
 compile coalescing for concurrent same-scene audits.
 """
@@ -21,31 +21,7 @@ from repro.serving import GatewayWorker, StreamingService, TcpWorker
 from repro.serving.edits import InsertObservation, RemoveTrack
 
 from tests.core.conftest import make_obs
-from tests.serving.conftest import model_scene
-
-
-class GatedService(StreamingService):
-    """A service whose handlers park on an event when asked to.
-
-    A request carrying ``"gate": true`` blocks inside the executor
-    thread until :meth:`release` — the deterministic way to hold the
-    gateway's admission window open while a test probes shedding,
-    coalescing, or drain.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.entered = threading.Event()
-        self._release = threading.Event()
-
-    def release(self):
-        self._release.set()
-
-    def handle(self, request):
-        if isinstance(request, dict) and request.get("gate"):
-            self.entered.set()
-            assert self._release.wait(timeout=30), "gate never released"
-        return super().handle(request)
+from tests.serving.conftest import GatedService, model_scene
 
 
 def _raw_connect(address):
@@ -117,23 +93,6 @@ class TestWires:
                 assert lines.hello()["protocol_version"] >= 1
                 assert framed.hello()["protocol_version"] == 2
 
-    def test_v0_legacy_shim(self, fitted_fixy):
-        scene = model_scene("gw-v0")
-        with GatewayWorker(fitted_fixy) as worker:
-            sock, stream = _raw_connect(worker.address)
-            try:
-                opened = _raw_call(
-                    stream, {"op": "open", "scene": scene.to_dict()}
-                )
-                # v0 dialect: plain ok payload, no version marker.
-                assert opened["ok"] is True and "v" not in opened
-                bad = _raw_call(stream, {"op": "warp"})
-                assert bad["ok"] is False
-                assert isinstance(bad["error"], str)  # string, not struct
-            finally:
-                stream.close()
-                sock.close()
-
     def test_bad_json_line(self, fitted_fixy):
         with GatewayWorker(fitted_fixy) as worker:
             sock, stream = _raw_connect(worker.address)
@@ -142,9 +101,9 @@ class TestWires:
                 stream.flush()
                 response = json.loads(stream.readline())
                 assert response["ok"] is False
-                assert "bad JSON" in response["error"]
+                assert "bad JSON" in response["error"]["message"]
                 # The connection survives, like the threaded serve loop.
-                assert _raw_call(stream, {"op": "stats"})["ok"] is True
+                assert _raw_call(stream, {"v": 2, "op": "stats"})["ok"] is True
             finally:
                 stream.close()
                 sock.close()
@@ -152,7 +111,7 @@ class TestWires:
     def test_strict_service_rejects_v0_with_structured_error(
         self, fitted_fixy
     ):
-        service = StreamingService(fitted_fixy, accept_legacy=False)
+        service = StreamingService(fitted_fixy)
         with GatewayWorker(service=service) as worker:
             sock, stream = _raw_connect(worker.address)
             try:
@@ -169,7 +128,7 @@ class TestWires:
             try:
                 stream.write(b"\n\n")
                 stream.flush()
-                assert _raw_call(stream, {"op": "stats"})["ok"] is True
+                assert _raw_call(stream, {"v": 2, "op": "stats"})["ok"] is True
             finally:
                 stream.close()
                 sock.close()
@@ -205,36 +164,6 @@ class TestAdmission:
                 service.release()
                 parked = json.loads(stream.readline())
                 assert parked["ok"] is True  # the gated request completed
-            finally:
-                stream.close()
-                sock.close()
-
-    def test_overloaded_is_v0_string_error_for_legacy_clients(
-        self, fitted_fixy
-    ):
-        service = GatedService(fitted_fixy)
-        with GatewayWorker(
-            service=service, max_inflight=1, max_queue=0
-        ) as worker:
-            sock, stream = _raw_connect(worker.address)
-            try:
-                stream.write(
-                    (json.dumps({"v": 1, "op": "stats", "gate": True}) + "\n")
-                    .encode("utf-8")
-                )
-                stream.flush()
-                assert service.entered.wait(timeout=10)
-                other_sock, other = _raw_connect(worker.address)
-                try:
-                    shed = _raw_call(other, {"op": "stats"})  # version-less
-                    assert shed["ok"] is False
-                    assert isinstance(shed["error"], str)
-                    assert "full" in shed["error"]
-                finally:
-                    other.close()
-                    other_sock.close()
-                service.release()
-                assert json.loads(stream.readline())["ok"] is True
             finally:
                 stream.close()
                 sock.close()

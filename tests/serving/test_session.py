@@ -309,7 +309,7 @@ class TestDirectedEdits:
         # The bad state stays un-servable (retried, fails again) rather
         # than silently serving the pre-edit ranking.
         with pytest.raises(ValueError, match="already exists"):
-            session.rank_tracks()
+            session.rank("tracks")
         # Undoing the bad edit restores service.
         session.apply(RemoveTrack("thief"))
         assert_session_matches_scratch(session)
@@ -319,13 +319,13 @@ class TestDirectedEdits:
         must not return the pre-edit ranking as if nothing happened."""
         scene = scene_of([moving_track("a", n_frames=4)], scene_id="fail")
         session = SceneSession(scene, default_features(), learned=learned)
-        session.rank_tracks()  # warm pre-edit state
+        session.rank("tracks")  # warm pre-edit state
         obs = scene.track_by_id("a").observations[0]
         dup = make_track("x", {obs.frame: [obs]})
         with pytest.raises(ValueError):
             session.apply(InsertTrack(dup))
         with pytest.raises(ValueError):
-            session.rank_tracks()  # refuses, not stale results
+            session.rank("tracks")  # refuses, not stale results
         session.apply(RemoveTrack("x"))
         assert_session_matches_scratch(session)
 
@@ -355,12 +355,12 @@ class TestSessionBehavior:
 
         scene = model_scene("rank", n_tracks=4)
         session = fitted_fixy.session(scene)
-        ranked = session.rank_tracks()
+        ranked = session.rank("tracks")
         assert len(ranked) == 4
         assert ranked == sorted(ranked, key=lambda s: s.score, reverse=True)
-        assert session.rank_tracks(top_k=2) == ranked[:2]
-        assert len(session.rank_observations(top_k=3)) == 3
-        bundles = session.rank_bundles()
+        assert session.rank("tracks", top_k=2) == ranked[:2]
+        assert len(session.rank("observations", top_k=3)) == 3
+        bundles = session.rank("bundles")
         assert all(b.scene_id == "rank" for b in bundles)
 
     def test_engine_session_requires_fit(self):
@@ -385,7 +385,7 @@ class TestSessionBehavior:
         from tests.serving.conftest import model_scene
 
         scene = model_scene("evict", n_tracks=3)
-        before = {s.track_id: s.score for s in fitted_fixy.rank_tracks(scene)}
+        before = {s.track_id: s.score for s in fitted_fixy.rank(scene, "tracks")}
         session = fitted_fixy.session(scene)
         obs = scene.track_by_id("evict-t0").observations[2]
         session.apply(
@@ -394,7 +394,7 @@ class TestSessionBehavior:
                 make_obs(obs.frame, obs.box.x + 500.0, source="model", conf=0.8),
             )
         )
-        after = {s.track_id: s.score for s in fitted_fixy.rank_tracks(scene)}
+        after = {s.track_id: s.score for s in fitted_fixy.rank(scene, "tracks")}
         assert after["evict-t0"] < before["evict-t0"]
 
     def test_scores_track_live_edits(self, fitted_fixy):
@@ -404,7 +404,7 @@ class TestSessionBehavior:
         scene = model_scene("live", n_tracks=3)
         session = fitted_fixy.session(scene)
         before = {
-            s.track_id: s.score for s in session.rank_tracks()
+            s.track_id: s.score for s in session.rank("tracks")
         }
         # Teleport one observation far away: velocity becomes implausible.
         target = scene.track_by_id("live-t0")
@@ -415,7 +415,7 @@ class TestSessionBehavior:
                 make_obs(obs.frame, obs.box.x + 500.0, source="model", conf=0.8),
             )
         )
-        after = {s.track_id: s.score for s in session.rank_tracks()}
+        after = {s.track_id: s.score for s in session.rank("tracks")}
         assert after["live-t0"] < before["live-t0"]
         for other in ("live-t1", "live-t2"):
             assert after[other] == before[other]  # untouched tracks: bit-equal

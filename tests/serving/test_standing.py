@@ -117,7 +117,7 @@ class TestDirectedStanding:
         )
         session = SceneSession(scene, default_features(), learned=learned)
         audit = session.subscribe(AuditSpec(kind="tracks", top_k=2))
-        scores = {s.track_id: s.score for s in session.rank_tracks()}
+        scores = {s.track_id: s.score for s in session.rank("tracks")}
         assert scores["twin-0"] == scores["twin-1"] == scores["twin-2"]
         assert audit.verify()
         # Removing one tied member promotes the next twin in scene

@@ -64,7 +64,7 @@ class TestStreamingService:
 
     def test_open_edit_rank_close(self, service):
         scene = model_scene("svc", n_tracks=3)
-        opened = service.handle({"op": "open", "scene": scene.to_dict()})
+        opened = service.handle({"v": 2, "op": "open", "scene": scene.to_dict()})
         assert opened["ok"] and opened["session_id"] == "svc"
         assert opened["n_tracks"] == 3
 
@@ -72,13 +72,14 @@ class TestStreamingService:
             "svc-t0", make_obs(9, 1.0, source="model", conf=0.9)
         )
         edited = service.handle(
-            {"op": "edit", "session_id": "svc", "edit": edit.to_dict()}
+            {"v": 2, "op": "edit", "session_id": "svc", "edit": edit.to_dict()}
         )
         assert edited["ok"] and edited["changed"] == ["svc-t0"]
         assert edited["version"] == 1
 
         ranked = service.handle(
-            {"op": "rank", "session_id": "svc", "kind": "tracks", "top_k": 2}
+            {"v": 2, "op": "rank", "session_id": "svc", "kind": "tracks",
+             "top_k": 2}
         )
         assert ranked["ok"] and len(ranked["results"]) == 2
         top = ranked["results"][0]
@@ -86,43 +87,48 @@ class TestStreamingService:
         json.dumps(ranked)  # whole response JSON-safe
 
         removed = service.handle(
-            {"op": "edit", "session_id": "svc",
+            {"v": 2, "op": "edit", "session_id": "svc",
              "edit": RemoveTrack("svc-t2").to_dict()}
         )
         assert removed["ok"]
-        closed = service.handle({"op": "close", "session_id": "svc"})
+        closed = service.handle({"v": 2, "op": "close", "session_id": "svc"})
         assert closed["ok"] and closed["closed"] is True
 
     def test_rank_kinds(self, service):
         service.handle(
-            {"op": "open", "scene": model_scene("kinds").to_dict()}
+            {"v": 2, "op": "open", "scene": model_scene("kinds").to_dict()}
         )
         for kind, id_field in (
             ("bundles", "frame"), ("observations", "obs_id")
         ):
             response = service.handle(
-                {"op": "rank", "session_id": "kinds", "kind": kind, "top_k": 1}
+                {"v": 2, "op": "rank", "session_id": "kinds", "kind": kind,
+                 "top_k": 1}
             )
             assert response["ok"]
             assert id_field in response["results"][0]
 
     def test_errors_are_responses_not_exceptions(self, service):
-        assert service.handle({"op": "warp"})["ok"] is False
-        assert "unknown op" in service.handle({"op": "warp"})["error"]
-        assert service.handle({"op": "rank", "session_id": "ghost"})["ok"] is False
-        assert service.handle({"op": "open"})["ok"] is False
+        warp = {"v": 2, "op": "warp"}
+        assert service.handle(warp)["ok"] is False
+        assert "unknown op" in service.handle(warp)["error"]["message"]
+        ghost = {"v": 2, "op": "rank", "session_id": "ghost"}
+        assert service.handle(ghost)["ok"] is False
+        assert service.handle({"v": 2, "op": "open"})["ok"] is False
 
     def test_stats_op(self, service):
-        service.handle({"op": "open", "scene": model_scene("stat").to_dict()})
-        stats = service.handle({"op": "stats"})
+        service.handle(
+            {"v": 2, "op": "open", "scene": model_scene("stat").to_dict()}
+        )
+        stats = service.handle({"v": 2, "op": "stats"})
         assert stats["ok"] and stats["live_sessions"] == 1
 
     def test_serve_loop(self, service):
         scene = model_scene("loop")
         lines = [
-            json.dumps({"op": "open", "scene": scene.to_dict()}),
+            json.dumps({"v": 2, "op": "open", "scene": scene.to_dict()}),
             "",  # blank lines skipped
-            json.dumps({"op": "rank", "session_id": "loop", "top_k": 1}),
+            json.dumps({"v": 2, "op": "rank", "session_id": "loop", "top_k": 1}),
             "not json",
         ]
         out = io.StringIO()
@@ -130,7 +136,7 @@ class TestStreamingService:
         assert handled == 3
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
         assert [r["ok"] for r in responses] == [True, True, False]
-        assert "bad JSON" in responses[2]["error"]
+        assert "bad JSON" in responses[2]["error"]["message"]
 
 
 class TestCliServe:
@@ -144,9 +150,11 @@ class TestCliServe:
         scene = model_scene("cli", n_tracks=2)
         requests = "\n".join(
             [
-                json.dumps({"op": "open", "scene": scene.to_dict()}),
-                json.dumps({"op": "rank", "session_id": "cli", "top_k": 1}),
-                json.dumps({"op": "stats"}),
+                json.dumps({"v": 2, "op": "open", "scene": scene.to_dict()}),
+                json.dumps(
+                    {"v": 2, "op": "rank", "session_id": "cli", "top_k": 1}
+                ),
+                json.dumps({"v": 2, "op": "stats"}),
             ]
         )
         args = build_parser().parse_args(
@@ -172,37 +180,14 @@ class TestCliServe:
 
 
 class TestLegacyShims:
-    def test_scored_item_to_dict_shim_warns_and_matches(self, fitted_fixy):
-        from repro.serving.service import scored_item_to_dict
-
-        scene = model_scene("shim", n_tracks=2)
-        scored = fitted_fixy.rank(scene, "tracks")[0]
-        with pytest.warns(DeprecationWarning, match="scored_item_to_dict"):
-            legacy = scored_item_to_dict(scored, "tracks")
-        assert legacy == scored.to_dict("tracks")
-
-    def test_v0_requests_warn_but_work(self, fitted_fixy):
-        """The acceptance check: pre-versioning requests keep working,
-        now through a deprecation shim."""
-        service = StreamingService(fitted_fixy, max_sessions=2)
-        scene = model_scene("v0", n_tracks=2)
-        with pytest.warns(DeprecationWarning, match="version-less"):
-            opened = service.handle({"op": "open", "scene": scene.to_dict()})
-            ranked = service.handle(
-                {"op": "rank", "session_id": "v0", "top_k": 1}
-            )
-        assert opened["ok"] and ranked["ok"]
-        assert len(ranked["results"]) == 1
-        assert "v" not in opened and "v" not in ranked
-
     def test_serve_strict_flag(self, fitted_fixy, tmp_path):
+        """The stdio loop rejects a version-less request; there is no
+        flag to accept one."""
         from repro.cli import build_parser, _cmd_serve
 
         model_path = tmp_path / "model.json"
         fitted_fixy.learned.save(model_path)
-        args = build_parser().parse_args(
-            ["serve", "--model", str(model_path), "--strict"]
-        )
+        args = build_parser().parse_args(["serve", "--model", str(model_path)])
         out = io.StringIO()
         code = _cmd_serve(
             args, stdin=io.StringIO(json.dumps({"op": "stats"})), stdout=out

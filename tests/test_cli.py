@@ -127,7 +127,7 @@ class TestAudit:
         path.write_text("{}")
         # Scene-source flags and query flags alike conflict with --spec.
         for flags in (["--profile", "internal"], ["--top", "3"],
-                      ["--backend", "sharded"]):
+                      ["--backend", "session"]):
             code = main(["audit", "--spec", str(path)] + flags)
             assert code == 2
             assert "ambiguous" in capsys.readouterr().err
@@ -160,16 +160,12 @@ class TestAudit:
 
     def test_audit_workers_flag_validation(self, capsys):
         cases = [
-            # sharded takes one process count, not addresses
-            (["--backend", "sharded", "--workers", "a:1"], "process count"),
-            (["--backend", "sharded", "--workers", "2", "3"], "process count"),
             # remote takes addresses, and requires them
             (["--backend", "remote", "--workers", "nocolon"], "HOST:PORT"),
             (["--backend", "remote", "--workers", "host:nan"], "HOST:PORT"),
             (["--backend", "remote"], "--workers"),
-            # timeout and wire are remote-only knobs
+            # timeout is a remote-only knob
             (["--timeout", "5"], "--timeout applies"),
-            (["--wire", "v2"], "--wire applies"),
         ]
         for flags, needle in cases:
             code = main(["audit", "--profile", "internal"] + flags)
@@ -190,21 +186,20 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "audit failed" in err and "worker_unavailable" in err
 
-    def test_audit_sharded_workers_count_still_parses(self):
-        args = build_parser().parse_args(
-            ["audit", "--profile", "internal", "--backend", "sharded",
-             "--workers", "4"]
+    def test_audit_bad_scene_index(self, capsys):
+        code = main(
+            ["audit", "--profile", "internal", "--scene", "99",
+             "--train", "1", "--val", "1"]
         )
-        assert args.workers == ["4"]
+        assert code == 2
+        assert "out of range" in capsys.readouterr().err
 
     def test_serve_listen_flags_parse(self):
         args = build_parser().parse_args(
-            ["serve", "--listen", "0.0.0.0:7500", "--capacity", "3",
-             "--strict"]
+            ["serve", "--listen", "0.0.0.0:7500", "--capacity", "3"]
         )
         assert args.listen == "0.0.0.0:7500"
         assert args.capacity == 3
-        assert args.strict is True
 
     def test_serve_bad_listen_address_fails_before_model_load(self, capsys):
         for bad in ("7500", "no-port-here", "host:nan"):
@@ -261,15 +256,15 @@ def spawn_serve(model_path: str, *extra_flags: str) -> subprocess.Popen:
 
 
 @pytest.fixture(scope="module")
-def strict_worker(served_artifacts):
-    proc = spawn_serve(served_artifacts["model_path"], "--strict")
+def worker(served_artifacts):
+    proc = spawn_serve(served_artifacts["model_path"])
     yield proc
     proc.terminate()
     proc.wait(timeout=10)
 
 
 @pytest.fixture(scope="module")
-def legacy_worker(served_artifacts):
+def capacity_worker(served_artifacts):
     proc = spawn_serve(served_artifacts["model_path"], "--capacity", "2")
     yield proc
     proc.terminate()
@@ -277,8 +272,7 @@ def legacy_worker(served_artifacts):
 
 
 def raw_request(address: str, payload: dict) -> dict:
-    """One raw JSON line to a worker, bypassing the typed client (the
-    only way to send version-less v0 requests)."""
+    """One raw JSON line to a worker, bypassing the typed client."""
     host, port = address.rsplit(":", 1)
     with socket.create_connection((host, int(port)), timeout=10) as sock:
         sock.sendall((json.dumps(payload) + "\n").encode())
@@ -287,63 +281,52 @@ def raw_request(address: str, payload: dict) -> dict:
 
 
 class TestServeListen:
-    """The stdio protocol behind TCP: strict mode, the v0 shim, worker
+    """The stdio protocol behind TCP: versioned requests, worker
     registration, and the remote backend end-to-end via the CLI."""
 
-    def test_strict_rejects_v0_over_tcp(self, strict_worker):
+    def test_strict_rejects_v0_over_tcp(self, worker):
         from repro.api import protocol
 
-        response = raw_request(strict_worker.address, {"op": "stats"})
+        response = raw_request(worker.address, {"op": "stats"})
         assert response["ok"] is False
         # A rejection that never negotiated is stamped with the
         # server's own (current-build) version.
         assert response["v"] == protocol.PROTOCOL_VERSION
         assert response["error"]["code"] == "unsupported_version"
 
-    def test_strict_answers_v1_over_tcp(self, strict_worker):
-        response = raw_request(strict_worker.address, {"v": 1, "op": "stats"})
+    def test_strict_answers_v1_over_tcp(self, worker):
+        response = raw_request(worker.address, {"v": 1, "op": "stats"})
         assert response["ok"] is True
         assert response["v"] == 1
 
-    def test_v0_shim_over_tcp(self, legacy_worker):
-        """A version-less request over TCP is answered in the v0
-        dialect (no "v", string errors) — the deprecation shim is
-        transport-independent."""
-        response = raw_request(legacy_worker.address, {"op": "stats"})
-        assert response["ok"] is True
-        assert "v" not in response
-        bad = raw_request(legacy_worker.address, {"op": "warp"})
-        assert bad["ok"] is False
-        assert isinstance(bad["error"], str)  # v0 errors stay strings
-
     def test_hello_over_tcp_advertises_model(
-        self, strict_worker, legacy_worker, served_artifacts
+        self, worker, capacity_worker, served_artifacts
     ):
         from repro.api import AuditClient
 
         from repro.api import protocol
 
-        with AuditClient.connect(strict_worker.address, timeout=30) as client:
+        with AuditClient.connect(worker.address, timeout=30) as client:
             hello = client.hello()
         assert hello["protocol_version"] == protocol.PROTOCOL_VERSION
         assert "frames" in hello["wire_formats"]
         assert hello["model_fingerprint"] == served_artifacts["fingerprint"]
         assert hello["capacity"] == 1
-        with AuditClient.connect(legacy_worker.address, timeout=30) as client:
+        with AuditClient.connect(capacity_worker.address, timeout=30) as client:
             assert client.hello()["capacity"] == 2
 
     def test_serve_busy_port_fails_cleanly(
-        self, strict_worker, served_artifacts, capsys
+        self, worker, served_artifacts, capsys
     ):
         code = main(
             ["serve", "--model", served_artifacts["model_path"],
-             "--listen", strict_worker.address]
+             "--listen", worker.address]
         )
         assert code == 2
         assert "cannot listen on" in capsys.readouterr().err
 
     def test_cli_audit_remote_matches_inline(
-        self, strict_worker, legacy_worker, served_artifacts, capsys
+        self, worker, capacity_worker, served_artifacts, capsys
     ):
         """`audit --backend remote --workers ...` against two live
         serve subprocesses returns the same items as inline."""
@@ -358,7 +341,7 @@ class TestServeListen:
         code = main(
             base + [
                 "--backend", "remote",
-                "--workers", strict_worker.address, legacy_worker.address,
+                "--workers", worker.address, capacity_worker.address,
                 "--timeout", "60",
             ]
         )
@@ -369,48 +352,7 @@ class TestServeListen:
         attribution = remote["provenance"]["workers"]
         assert attribution and all(w["rank_s"] >= 0 for w in attribution)
         assert {w["worker"] for w in attribution} <= {
-            strict_worker.address, legacy_worker.address,
+            worker.address, capacity_worker.address,
         }
-        # Current serve subprocesses advertise frames: auto picked v2.
+        # The pool dispatches over the v2 framed wire.
         assert {w["wire"] for w in attribution} == {"v2"}
-
-    def test_cli_audit_remote_wire_v2_flag(
-        self, strict_worker, served_artifacts, capsys
-    ):
-        """`audit --wire v2` forces the framed wire end-to-end."""
-        code = main(
-            [
-                "audit",
-                "--paths", *served_artifacts["scene_paths"],
-                "--model", served_artifacts["model_path"],
-                "--top", "5",
-                "--backend", "remote",
-                "--workers", strict_worker.address,
-                "--wire", "v2",
-            ]
-        )
-        assert code == 0
-        result = json.loads(capsys.readouterr().out)
-        attribution = result["provenance"]["workers"]
-        assert {w["wire"] for w in attribution} == {"v2"}
-        assert result["provenance"]["backend_options"]["wire"] == "v2"
-
-
-class TestRank:
-    def test_rank_prints_audited_list(self, capsys):
-        with pytest.warns(DeprecationWarning, match="repro.cli rank"):
-            code = main(
-                ["rank", "--profile", "internal", "--scene", "0", "--top", "5",
-                 "--train", "2", "--val", "2"]
-            )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "potential missing labels" in out
-
-    def test_rank_bad_scene_index(self, capsys):
-        code = main(
-            ["rank", "--profile", "internal", "--scene", "99",
-             "--train", "1", "--val", "1"]
-        )
-        assert code == 2
-        assert "out of range" in capsys.readouterr().err

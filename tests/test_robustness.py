@@ -52,7 +52,7 @@ class TestDegenerateGeometry:
                 for f in range(4)
             ],
         )
-        ranked = fixy.rank_tracks(scene_of([track]))
+        ranked = fixy.rank(scene_of([track]), "tracks")
         # A near-zero-volume box is wildly atypical but must still get a
         # finite (floored) score, not crash or vanish.
         assert len(ranked) == 1
@@ -70,13 +70,13 @@ class TestDegenerateScenes:
     def test_single_frame_scene(self, training_scenes):
         fixy = Fixy(generic_features()).fit(training_scenes)
         track = make_track("single", {0: [make_obs(0, x=1.0)]})
-        ranked = fixy.rank_tracks(scene_of([track]))
+        ranked = fixy.rank(scene_of([track]), "tracks")
         # Count feature zeroes 1-obs tracks: nothing survives, no crash.
         assert ranked == []
 
     def test_empty_scene(self, training_scenes):
         fixy = Fixy(generic_features()).fit(training_scenes)
-        assert fixy.rank_tracks(Scene(scene_id="empty", dt=0.2)) == []
+        assert fixy.rank(Scene(scene_id="empty", dt=0.2), "tracks") == []
 
     def test_scene_without_ego_poses_fails_only_distance(self, training_scenes):
         """Features needing ego data raise a clear error; feature sets
@@ -88,11 +88,11 @@ class TestDegenerateScenes:
             f for f in generic_features() if f.name != "distance"
         ]
         fixy = Fixy(without_distance).fit(training_scenes)
-        assert len(fixy.rank_tracks(scene)) == 1
+        assert len(fixy.rank(scene, "tracks")) == 1
 
         with_distance = Fixy(generic_features()).fit(training_scenes)
         with pytest.raises(ValueError, match="ego poses"):
-            with_distance.rank_tracks(scene)
+            with_distance.rank(scene, "tracks")
 
 
 class TestContradictoryInputs:
@@ -105,7 +105,7 @@ class TestContradictoryInputs:
         for f in range(4):
             frames[f] = [make_obs(f, x=0.4 * f, cls=classes[f], source="model")]
         track = make_track("confused", frames)
-        ranked = fixy.rank_tracks(scene_of([track]))
+        ranked = fixy.rank(scene_of([track]), "tracks")
         assert len(ranked) == 1  # scores, does not crash on mixed classes
 
     def test_duplicate_obs_ids_rejected_at_compile(self, training_scenes):
@@ -134,7 +134,7 @@ class TestNumericalExtremes:
         frames = {
             f: [make_obs(f, x=1e7 + 0.4 * f, source="model")] for f in range(4)
         }
-        ranked = fixy.rank_tracks(scene_of([make_track("far", frames)]))
+        ranked = fixy.rank(scene_of([make_track("far", frames)]), "tracks")
         assert len(ranked) == 1
         assert math.isfinite(ranked[0].score)
 
@@ -148,5 +148,5 @@ class TestNumericalExtremes:
         fixy = Fixy([VolumeFeature(), VelocityFeature(), CountFeature()],
                     min_samples=3).fit(scenes)
         assert fixy.is_fitted
-        ranked = fixy.rank_tracks(scenes[0])
+        ranked = fixy.rank(scenes[0], "tracks")
         assert len(ranked) == 1

@@ -161,9 +161,10 @@ class TestEndToEnd:
             if not lbl.human_missed:
                 continue
             scene = build_event_scene(lbl)
-            ranked = fixy.rank_tracks(
+            ranked = fixy.rank(
                 scene,
-                track_filter=lambda t: t.has_model and not t.has_human,
+                "tracks",
+                filt=lambda t: t.has_model and not t.has_human,
                 top_k=5,
             )
             missed_starts = {e.start_s for e in lbl.human_missed}
@@ -191,8 +192,8 @@ class TestEndToEnd:
         lbl = annotate_recording(rec, seed=701, human_miss_rate=0.4,
                                  ghost_rate_per_minute=3.0)
         scene = build_event_scene(lbl)
-        ranked = fixy.rank_tracks(
-            scene, track_filter=lambda t: t.has_model and not t.has_human
+        ranked = fixy.rank(
+            scene, "tracks", filt=lambda t: t.has_model and not t.has_human
         )
         if not ranked:
             pytest.skip("no model-only tracks for this seed")
