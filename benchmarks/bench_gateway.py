@@ -13,7 +13,8 @@ acceptance floors of the asyncio serving front:
   scene shares one compile — ≥50% attach to the in-flight future and
   all responses carry the identical body;
 - **byte identity**: a mixed op sequence through the gateway matches
-  the threaded TCP front byte-for-byte (wall-clock timings stripped).
+  serial in-process execution byte-for-byte (wall-clock timings
+  stripped).
 
 Run the full fleet (≥1k concurrent clients) or the CI smoke::
 
@@ -137,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
 
     check(
         report["byte_identity"]["byte_identical"],
-        "gateway responses diverged from the threaded front",
+        "gateway responses diverged from serial execution",
     )
 
     if failures:

@@ -21,7 +21,7 @@ from repro.api import (
     available_backends,
 )
 from repro.datasets import SYNTHETIC_INTERNAL, build_dataset
-from repro.serving.tcp import TcpWorker
+from repro.serving import GatewayWorker
 
 # ---------------------------------------------------------------------------
 # 1. Declare the audit. No engine objects, no callables — data only.
@@ -51,7 +51,7 @@ scenes = [ls.scene for ls in dataset.val_scenes]
 #    remote backend needs workers: two in-process TCP workers serving
 #    the same fitted model.
 # ---------------------------------------------------------------------------
-workers = [TcpWorker(audit.fixy) for _ in range(2)]
+workers = [GatewayWorker(audit.fixy) for _ in range(2)]
 options = {"remote": {"workers": [w.address for w in workers]}}
 reference = None
 try:

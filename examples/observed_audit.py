@@ -27,8 +27,12 @@ from pathlib import Path
 from repro.api import Audit, AuditSpec, FilterSpec
 from repro.datasets import SYNTHETIC_INTERNAL, build_dataset
 from repro.obs import get_registry
-from repro.serving import InsertBundle, RemoveBundle, SceneSession
-from repro.serving.tcp import TcpWorker
+from repro.serving import (
+    GatewayWorker,
+    InsertBundle,
+    RemoveBundle,
+    SceneSession,
+)
 
 # ---------------------------------------------------------------------------
 # Part 1 — a traced remote audit over two in-process TCP workers.
@@ -43,7 +47,7 @@ audit = Audit(spec, train_scenes=dataset.train_scenes)
 audit.fixy.warmup_fast_eval()
 scenes = [ls.scene for ls in dataset.val_scenes]
 
-workers = [TcpWorker(audit.fixy) for _ in range(2)]
+workers = [GatewayWorker(audit.fixy) for _ in range(2)]
 addresses = [w.address for w in workers]
 print(f"workers up: {', '.join(addresses)}")
 

@@ -205,7 +205,7 @@ class AuditClient:
     """Typed client over a ``dict -> dict`` protocol transport."""
 
     def __init__(self, transport, version: int = protocol.PROTOCOL_VERSION):
-        if version not in protocol.SUPPORTED_VERSIONS:
+        if not protocol.is_supported_version(version):
             raise ValueError(
                 f"unsupported client protocol version {version!r}; "
                 f"expected one of {protocol.SUPPORTED_VERSIONS}"

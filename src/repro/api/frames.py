@@ -15,8 +15,8 @@ The header is the same request/response dict the line-JSON wire
 carries; blobs carry bulk payloads (packed scenes) that never pass
 through a JSON encoder. :data:`MAGIC` opens with a non-ASCII byte, so
 a framed connection is self-identifying: the first byte of a JSON line
-can never be ``0xAB``, which is how the TCP server
-(:mod:`repro.serving.tcp`) answers line-JSON and framed clients on the
+can never be ``0xAB``, which is how the TCP gateway
+(:mod:`repro.serving.gateway`) answers line-JSON and framed clients on the
 same port with no upgrade round-trip. Hard caps
 (:data:`MAX_HEADER_BYTES`, :data:`MAX_BLOB_BYTES`, :data:`MAX_BLOBS`)
 bound what a peer can make us buffer; violations raise

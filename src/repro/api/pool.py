@@ -83,8 +83,7 @@ __all__ = ["WorkerEndpoint", "WorkerPool", "partition_scenes"]
 # are the *cumulative* live view an operator scrapes.
 _DISPATCH_SECONDS = obs_metrics.histogram(
     "repro_pool_dispatch_seconds",
-    "Seconds per successful partition dispatch, by wire format",
-    labelnames=("wire",),
+    "Seconds per successful partition dispatch",
 )
 _ENCODE_SECONDS = obs_metrics.counter(
     "repro_pool_encode_seconds_total",
@@ -92,18 +91,15 @@ _ENCODE_SECONDS = obs_metrics.counter(
 )
 _BYTES_SENT = obs_metrics.counter(
     "repro_pool_bytes_sent_total",
-    "Bytes written to workers, by wire format",
-    labelnames=("wire",),
+    "Bytes written to workers",
 )
 _BYTES_RECEIVED = obs_metrics.counter(
     "repro_pool_bytes_received_total",
-    "Bytes read back from workers, by wire format",
-    labelnames=("wire",),
+    "Bytes read back from workers",
 )
 _CHUNKS = obs_metrics.counter(
     "repro_pool_chunks_total",
-    "Scene chunks dispatched, by wire format",
-    labelnames=("wire",),
+    "Scene chunks dispatched",
 )
 _CACHE_HITS = obs_metrics.counter(
     "repro_pool_scene_cache_hits_total",
@@ -177,9 +173,6 @@ class WorkerEndpoint:
     - ``healthy``: flips False when registration fails or a dispatch
       sees a transport failure; unhealthy workers get no partitions
       (until :meth:`WorkerPool.reprobe` re-admits them);
-    - ``protocol_version`` / ``wire_formats``: the negotiated dialect
-      and the wires the worker advertises (registration requires
-      ``"frames"``);
     - a bounded mirror of which scene hashes this worker should
       already hold (:meth:`knows` / :meth:`remember`), sized to the
       worker's advertised scene cache — the coordinator ships bodies
@@ -201,8 +194,6 @@ class WorkerEndpoint:
         self.info: dict | None = None
         self.healthy = False
         self.last_error: str | None = None
-        self.protocol_version = protocol.BASELINE_VERSION
-        self.wire_formats: tuple[str, ...] = ("json",)
         self._known_hashes: OrderedDict[str, None] = OrderedDict()
         self._known_limit = 256
         # Monotonic deadline before which reprobe() leaves this
@@ -234,11 +225,6 @@ class WorkerEndpoint:
         if self.info is None:
             return 1
         return max(1, int(self.info.get("capacity") or 1))
-
-    @property
-    def supports_frames(self) -> bool:
-        """Whether the worker speaks the v2 framed wire dispatch uses."""
-        return self.protocol_version >= 2 and "frames" in self.wire_formats
 
     @property
     def has_warehouse(self) -> bool:
@@ -387,8 +373,6 @@ class WorkerEndpoint:
                     },
                 )
         self.info = info
-        self.protocol_version = negotiated
-        self.wire_formats = wire_formats
         self._known_limit = max(1, int(info.get("scene_cache") or 0) or 256)
         # A (re)registered worker may be a fresh process: assume its
         # scene cache is empty and let `need` replies heal the rest.
@@ -817,7 +801,7 @@ class WorkerPool:
                         ) from exc
                     _REQUEUES.inc()
                     continue
-                _DISPATCH_SECONDS.observe(watch.s, wire=stats["wire"])
+                _DISPATCH_SECONDS.observe(watch.s)
                 reports[slot].append(
                     {
                         "worker": worker.address,
@@ -1002,11 +986,9 @@ class WorkerPool:
         finally:
             worker.release(client, leased, ok)
         _ENCODE_SECONDS.inc(stats["encode_s"])
-        _CHUNKS.inc(stats["n_chunks"], wire="v2")
-        _BYTES_SENT.inc(stats["bytes_sent"], wire="v2")
-        _BYTES_RECEIVED.inc(
-            client.bytes_received - received_before, wire="v2"
-        )
+        _CHUNKS.inc(stats["n_chunks"])
+        _BYTES_SENT.inc(stats["bytes_sent"])
+        _BYTES_RECEIVED.inc(client.bytes_received - received_before)
         _CACHE_HITS.inc(stats["scene_cache_hits"])
         _CACHE_MISSES.inc(stats["scene_cache_misses"])
         return stats

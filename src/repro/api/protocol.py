@@ -108,6 +108,7 @@ __all__ = [
     "TransportError",
     "classify_exception",
     "error_response",
+    "is_supported_version",
     "make_request",
     "negotiate_version",
     "ok_response",
@@ -284,11 +285,21 @@ def error_response(
 # ---------------------------------------------------------------------------
 # Version negotiation
 # ---------------------------------------------------------------------------
+def is_supported_version(version) -> bool:
+    """Whether ``version`` is a dialect this build answers in.
+
+    Only a JSON integer counts: ``true``, ``1.0`` and ``2.0`` compare
+    equal to a supported version in Python but are not versions, and
+    echoing one back would stamp a response with ``"v": true``.
+    """
+    return type(version) is int and version in SUPPORTED_VERSIONS
+
+
 def negotiate_version(request: dict) -> int:
     """The dialect to answer ``request`` in: its own ``"v"``.
 
-    A request without ``"v"``, or with a version outside
-    :data:`SUPPORTED_VERSIONS`, raises :class:`ProtocolError` with
+    A request without ``"v"``, or whose ``"v"`` fails
+    :func:`is_supported_version`, raises :class:`ProtocolError` with
     ``unsupported_version``.
     """
     if not isinstance(request, dict) or "v" not in request:
@@ -299,7 +310,7 @@ def negotiate_version(request: dict) -> int:
             details={"supported": list(SUPPORTED_VERSIONS)},
         )
     version = request["v"]
-    if version in SUPPORTED_VERSIONS:
+    if is_supported_version(version):
         return version
     raise ProtocolError(
         UNSUPPORTED_VERSION,

@@ -13,9 +13,10 @@ Subcommands (also exposed as ``python -m repro.cli``):
                   (compile+rank) and optionally persist the report;
 - ``serve``       run the streaming serving loop: line-delimited JSON
                   protocol requests on stdin, responses on stdout —
-                  or, with ``--listen HOST:PORT``, behind a threaded
-                  TCP listener, which makes the process a worker for
-                  the distributed ``remote`` backend
+                  or, with ``--listen HOST:PORT``, behind the TCP
+                  gateway (:mod:`repro.serving.gateway`), which makes
+                  the process a worker for the distributed ``remote``
+                  backend
                   (open/edit/rank/audit/close/stats/hello/health over
                   live scene sessions; see :mod:`repro.api.protocol`);
 - ``warehouse``   manage a persistent content-addressed scene corpus
@@ -214,10 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
-        help="serve the protocol over TCP instead of stdio (port 0 picks "
-        "a free port; the bound address is announced on stderr as "
-        "'listening on HOST:PORT'); this is the worker mode of the "
-        "remote backend",
+        help="serve the protocol over TCP through the asyncio gateway "
+        "instead of stdio (one event loop multiplexing all connections, "
+        "admission control with typed `overloaded` load shedding, "
+        "compile coalescing; port 0 picks a free port, and the bound "
+        "address is announced on stderr as 'gateway listening on "
+        "HOST:PORT'); this is the worker mode of the remote backend",
     )
     serve.add_argument(
         "--capacity", type=int, default=1,
@@ -243,28 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
         "advertises the capability so out-of-core coordinators send "
         "hashes with no scene bodies",
     )
+    # A no-op kept parseable: perfbench/remote_audit.py still passes it.
     serve.add_argument(
-        "--async", dest="async_gateway", action="store_true",
-        help="serve --listen through the asyncio gateway (one event "
-        "loop multiplexing all connections, admission control with "
-        "typed `overloaded` load shedding, compile coalescing) "
-        "instead of a thread per connection",
+        "--async", action="store_true", dest="_async", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--max-inflight", type=int, default=4,
-        help="gateway worker threads executing requests (--async; "
+        help="gateway worker threads executing requests (--listen; "
         "default 4)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=64,
         help="admitted requests allowed to queue for an executor slot "
         "before new arrivals are shed with the `overloaded` code "
-        "(--async; default 64)",
+        "(--listen; default 64)",
     )
     serve.add_argument(
         "--client-budget", type=int, default=16,
         help="in-flight requests one connection may have before its "
-        "next request is shed with `overloaded` (--async; default 16)",
+        "next request is shed with `overloaded` (--listen; default 16)",
     )
 
     wh = sub.add_parser(
@@ -640,7 +640,8 @@ def _cmd_warehouse(args) -> int:
 
 
 def _cmd_serve(args, stdin=None, stdout=None) -> int:
-    """Run the streaming service over line-delimited JSON stdio.
+    """Run the streaming service over line-delimited JSON stdio, or
+    behind the TCP gateway with ``--listen``.
 
     ``stdin``/``stdout`` are injectable for tests; stdout carries only
     protocol responses (the ready banner goes to stderr).
@@ -658,12 +659,6 @@ def _cmd_serve(args, stdin=None, stdout=None) -> int:
             # Fail before the (slow) model load / fit.
             print(f"invalid --listen address: {exc}", file=sys.stderr)
             return 2
-    if args.async_gateway and listen_address is None:
-        print(
-            "--async needs --listen (the gateway is a TCP front)",
-            file=sys.stderr,
-        )
-        return 2
     metrics_address = None
     if args.metrics_addr is not None:
         from repro.api.client import parse_address
@@ -721,7 +716,7 @@ def _cmd_serve(args, stdin=None, stdout=None) -> int:
         m_host, m_port = metrics_server.address
         print(f"metrics on {m_host}:{m_port}", file=sys.stderr, flush=True)
     try:
-        if listen_address is not None and args.async_gateway:
+        if listen_address is not None:
             import asyncio
 
             from repro.serving.gateway import AsyncGateway, run_gateway
@@ -759,30 +754,6 @@ def _cmd_serve(args, stdin=None, stdout=None) -> int:
                 f"served {service.requests_handled} requests "
                 f"({gateway.requests_shed} shed)",
                 file=sys.stderr,
-            )
-            return 0
-        if listen_address is not None:
-            from repro.serving.tcp import serve_tcp
-
-            host, port = listen_address
-            try:
-                server = serve_tcp(service, host=host, port=port)
-            except OSError as exc:  # port busy, address not bindable, ...
-                print(
-                    f"cannot listen on {args.listen}: {exc}", file=sys.stderr
-                )
-                return 2
-            print(
-                f"listening on {server.address}", file=sys.stderr, flush=True
-            )
-            try:
-                server.serve_forever()
-            except KeyboardInterrupt:
-                pass
-            finally:
-                server.server_close()
-            print(
-                f"served {service.requests_handled} requests", file=sys.stderr
             )
             return 0
         handled = service.serve(stdin or sys.stdin, stdout or sys.stdout)

@@ -17,8 +17,9 @@ persists them to ``BENCH_scaling.json`` under ``serving.gateway``):
   the in-flight future (``hit_ratio``) and all responses carry the
   identical body;
 - **byte identity**: a mixed op sequence through the gateway matches
-  the threaded TCP front byte-for-byte (timings stripped — they are
-  wall-clock, not payload).
+  serial in-process execution (:meth:`AuditClient.local
+  <repro.api.client.AuditClient.local>`) byte-for-byte (timings
+  stripped — they are wall-clock, not payload).
 
 The load generator is itself asyncio (one client coroutine per
 connection, closed loop: write a request line, await the response
@@ -328,9 +329,9 @@ def gateway_report(
 
 
 def _byte_identity(fixy, db: str, spec_dict: dict, fingerprints) -> dict:
-    """Same mixed op sequence via gateway and threaded front: identical?
+    """Same mixed op sequence via the gateway and serially: identical?
 
-    Each front gets its own fresh service (same model, same warehouse,
+    Each side gets its own fresh service (same model, same warehouse,
     empty session store and scene cache) so state-dependent payloads —
     session ids, cache hit counts — line up deterministically. Only
     wall-clock fields are stripped before comparison.
@@ -338,11 +339,10 @@ def _byte_identity(fixy, db: str, spec_dict: dict, fingerprints) -> dict:
     from repro.api.client import AuditClient
     from repro.serving.gateway import GatewayWorker
     from repro.serving.service import StreamingService
-    from repro.serving.tcp import TcpWorker
 
-    def run_ops(address: str) -> list:
+    def run_ops(client: AuditClient) -> list:
         responses = []
-        with AuditClient.connect(address) as client:
+        with client:
 
             def call(op, **fields):
                 try:
@@ -368,15 +368,11 @@ def _byte_identity(fixy, db: str, spec_dict: dict, fingerprints) -> dict:
         return StreamingService(fixy, warehouse=db, scene_cache=8)
 
     with GatewayWorker(service=fresh_service(), max_inflight=2) as gateway:
-        via_gateway = run_ops(gateway.address)
-    threaded = TcpWorker(service=fresh_service())
-    try:
-        via_threads = run_ops(threaded.address)
-    finally:
-        threaded.stop()
+        via_gateway = run_ops(AuditClient.connect(gateway.address))
+    via_serial = run_ops(AuditClient.local(service=fresh_service()))
     return {
         "ops": len(via_gateway),
-        "byte_identical": via_gateway == via_threads,
+        "byte_identical": via_gateway == via_serial,
     }
 
 
@@ -402,7 +398,7 @@ def render_gateway_report(report: dict) -> str:
             f"compiles + {coalesce['hits']:g} attached "
             f"(hit ratio {coalesce['hit_ratio']}, identical bodies "
             f"{coalesce['identical_bodies']})",
-            f"  byte-identical to threaded front: "
+            f"  byte-identical to serial execution: "
             f"{identity['byte_identical']} ({identity['ops']} ops)",
         ]
     )

@@ -75,10 +75,10 @@ def audit_backend_equivalence(
     """Run one declarative audit on every backend and compare rankings.
 
     When ``"remote"`` is among the backends, ``n_remote_workers`` real
-    TCP workers (:class:`repro.serving.TcpWorker`, each a
-    line-JSON protocol server on an ephemeral port — the same surface
-    ``repro.cli serve --listen`` exposes) are spawned in-process and
-    the audit is partitioned across them.
+    TCP workers (:class:`repro.serving.GatewayWorker`, each a gateway
+    on an ephemeral port — the same surface ``repro.cli serve
+    --listen`` exposes) are spawned in-process and the audit is
+    partitioned across them.
     """
     from repro.api import Audit, AuditSpec, FilterSpec
     from repro.datasets import SYNTHETIC_INTERNAL
@@ -105,10 +105,10 @@ def audit_backend_equivalence(
     )
     workers = []
     if "remote" in backends:
-        from repro.serving.tcp import TcpWorker
+        from repro.serving import GatewayWorker
 
         workers = [
-            TcpWorker(audit.fixy) for _ in range(max(1, n_remote_workers))
+            GatewayWorker(audit.fixy) for _ in range(max(1, n_remote_workers))
         ]
     reference = None
     try:

@@ -13,7 +13,7 @@ tracked:
   ``benchmarks/bench_delta_recompile.py`` on top of this report.
 - :func:`remote_report` — audit a batch of scenes through the
   ``remote`` backend against 1..N real TCP protocol workers
-  (:class:`repro.serving.TcpWorker`), recording distributed throughput
+  (:class:`repro.serving.GatewayWorker`), recording distributed throughput
   vs the inline reference and checking the rankings are
   **byte-identical**.
 - :func:`standing_report` — stream an edit sequence into a session
@@ -191,14 +191,14 @@ def remote_report(
     the warm path shipping ids instead of bodies.
     """
     from repro.api import Audit, AuditSpec
-    from repro.serving.tcp import TcpWorker
+    from repro.serving import GatewayWorker
 
     fixy = fixy or _warm_finder()
     scenes = [
         _build_scene(n_objects, seed=2000 + i) for i in range(n_scenes)
     ]
     spec = AuditSpec(kind="tracks")
-    workers = [TcpWorker(fixy) for _ in range(max(worker_counts))]
+    workers = [GatewayWorker(fixy) for _ in range(max(worker_counts))]
 
     def best_of(fn) -> tuple[float, list]:
         best, out = float("inf"), None

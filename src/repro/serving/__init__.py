@@ -31,19 +31,17 @@ compile pipeline:
   serve``; the in-repo client is
   :class:`repro.api.AuditClient`; a request without a protocol
   version is answered with ``unsupported_version``);
-- :mod:`repro.serving.tcp` — the same protocol behind a threaded TCP
-  listener (``repro.cli serve --listen HOST:PORT``); each worker in
-  the distributed ``remote`` backend is one of these;
-- :mod:`repro.serving.gateway` — the asyncio serving front
-  (``serve --listen … --async``): thousands of multiplexed
-  connections on one event loop, admission control with typed
-  ``overloaded`` load shedding, and compile coalescing for
-  concurrent same-scene audits, all dispatching to the same
-  :class:`StreamingService` handlers (byte-identical responses).
+- :mod:`repro.serving.gateway` — the TCP front
+  (``repro.cli serve --listen HOST:PORT``; each worker in the
+  distributed ``remote`` backend is one): many connections on one
+  event loop, admission control with typed ``overloaded`` load
+  shedding, and compile coalescing for concurrent same-scene audits,
+  all dispatching to the same :class:`StreamingService` handlers
+  (byte-identical responses).
 
 Everything here is an execution strategy behind the unified audit API:
 :class:`repro.api.AuditSpec` runs on a session through the ``session``
-backend, and on a pool of these fronts through the ``remote`` backend,
+backend, and on a pool of gateway workers through the ``remote`` backend,
 with rankings byte-identical to the inline engine.
 """
 
@@ -63,14 +61,10 @@ from repro.serving.session import SceneSession, SessionStats
 from repro.serving.standing import StandingAudit, StandingStats
 from repro.serving.store import SessionStore
 from repro.serving.service import StreamingService
-from repro.serving.tcp import ProtocolTCPServer, TcpWorker, serve_tcp
 
 __all__ = [
     "AsyncGateway",
     "GatewayWorker",
-    "ProtocolTCPServer",
-    "TcpWorker",
-    "serve_tcp",
     "InsertBundle",
     "InsertObservation",
     "InsertTrack",

@@ -1,27 +1,23 @@
-"""Async gateway: the event-loop serving front with admission control.
+"""The TCP serving front: one event loop with admission control.
 
-The threaded front (:mod:`repro.serving.tcp`) spends one handler
-thread per connection — fine for a worker pool of tens of peers,
-unworkable for the ROADMAP's "heavy traffic from millions of users"
-fan-in, where most connections are idle most of the time. This module
-multiplexes thousands of client connections on **one asyncio event
-loop** and keeps the actual request handling on the existing, already
-byte-exact :class:`~repro.serving.service.StreamingService`:
+``cli serve --listen HOST:PORT`` runs :class:`AsyncGateway`, and every
+worker of the distributed ``remote`` backend is one. It multiplexes
+client connections on **one asyncio event loop** and keeps the actual
+request handling on the byte-exact
+:class:`~repro.serving.service.StreamingService`:
 
-- **Wire compatibility.** Both existing wires are spoken unchanged and
-  detected per connection by the first byte, exactly as the threaded
-  front does: :data:`repro.api.frames.MAGIC` opens the v2 binary
+- **Wire detection.** Both wires are detected per connection by the
+  first byte: :data:`repro.api.frames.MAGIC` opens the v2 binary
   framed conversation (read with
   :func:`repro.api.frames.read_frame_async`), anything else is
   line-delimited JSON (v1 and v2 requests both ride it). Responses per
   connection come back in request order — the pipelining contract both
-  wires already promise.
+  wires promise.
 
 - **Bounded execution.** Decoded requests dispatch to a worker-thread
   executor of ``max_inflight`` threads running ``service.handle`` /
-  ``service.handle_frame`` — every op's response is byte-identical to
-  the threaded path because it *is* the threaded path, minus the
-  per-connection thread.
+  ``service.handle_frame``, so every op's response is byte-identical
+  to serial execution of the same requests.
 
 - **Admission control.** Work past the executor queues; once the queue
   depth reaches ``max_queue`` (or one connection exceeds its
@@ -52,11 +48,10 @@ Instrumented via :mod:`repro.obs.metrics` (names are API — see
 docs/API.md "Observability"): connection/queue-depth gauges,
 shed/coalesce counters, per-op latency histograms.
 
-Entry points mirror the threaded front: ``cli serve --listen HOST:PORT
---async`` runs :class:`AsyncGateway` in the foreground;
+Entry points: :func:`run_gateway` serves in the foreground until
+SIGINT/SIGTERM (what ``cli serve --listen`` does);
 :class:`GatewayWorker` is the in-process convenience (gateway + event
-loop + daemon thread) that tests and benchmarks stand up like a
-:class:`~repro.serving.tcp.TcpWorker`.
+loop + daemon thread) that tests, examples and benchmarks stand up.
 """
 
 from __future__ import annotations
@@ -144,7 +139,7 @@ class AsyncGateway:
 
     All state is event-loop-confined; the only cross-thread traffic is
     the executor running service handlers (the service itself is
-    thread-safe — it already serves the threaded front).
+    thread-safe).
     """
 
     def __init__(
@@ -249,8 +244,8 @@ class AsyncGateway:
         sock = writer.get_extra_info("socket")
         if sock is not None:
             try:
-                # Same rationale as the threaded front: one small
-                # response per request must not sit out Nagle+delayed-ACK.
+                # One small response per request must not sit out
+                # Nagle + the peer's delayed-ACK window (~40 ms).
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
@@ -273,13 +268,17 @@ class AsyncGateway:
             except asyncio.CancelledError:
                 pass
             self._writers.discard(writer)
-            self._conn_tasks.discard(task)
             _CONNECTIONS.dec()
             try:
                 writer.close()
                 await writer.wait_closed()
             except Exception:
                 pass
+            finally:
+                # Untracked only once closed, so shutdown() waits for
+                # the close instead of leaving it to be cancelled when
+                # the loop ends (which asyncio logs as an error).
+                self._conn_tasks.discard(task)
 
     async def _write_responses(self, queue, writer) -> None:
         """One per connection: write responses in request order.
@@ -374,7 +373,7 @@ class AsyncGateway:
         await self._enqueue(queue, self._completed(response), framed=False)
 
     async def _read_frames(self, conn, reader, queue, first: bytes) -> None:
-        """The framed loop, mirroring ``StreamingService.serve_frames``."""
+        """The framed loop: one frame in, one response frame out."""
         prefix = first
         while True:
             try:
@@ -487,8 +486,7 @@ class AsyncGateway:
         try:
             if blobs is None:
                 return self.service.handle(request)
-            response, _out_blobs = self.service.handle_frame(request, blobs)
-            return response
+            return self.service.handle_frame(request, blobs)
         except Exception as exc:  # handle() catches its own; this is belt
             return self._error_for(request, protocol.classify_exception(exc))
 
@@ -548,7 +546,7 @@ class AsyncGateway:
         """A refusal by the gateway itself, in the request's version
         when this build speaks it and in this build's otherwise."""
         version = request.get("v") if isinstance(request, dict) else None
-        if version not in protocol.SUPPORTED_VERSIONS:
+        if not protocol.is_supported_version(version):
             version = protocol.PROTOCOL_VERSION
         return protocol.error_response(
             err.code, err.message, details=err.details, version=version
@@ -595,14 +593,14 @@ async def run_gateway(gateway: AsyncGateway, announce=None) -> None:
 
 
 class GatewayWorker:
-    """An in-process async gateway: service + event loop + thread.
+    """An in-process TCP worker: service + gateway + event-loop thread.
 
-    The :class:`~repro.serving.tcp.TcpWorker` shape for the async
-    front: spawns a real TCP endpoint backed by a daemon thread
-    running the event loop, so tests and benchmarks stand up a
-    gateway exactly as ``cli serve --listen … --async`` would. Pass a
-    prebuilt ``service`` or a fitted ``fixy`` (plus
-    :class:`StreamingService` keyword options).
+    Spawns a real TCP endpoint (ephemeral port by default) backed by a
+    daemon thread running the event loop, so tests, examples and
+    benchmarks stand up workers exactly as ``cli serve --listen``
+    would. Pass a prebuilt ``service`` or a fitted ``fixy`` (plus
+    :class:`StreamingService` keyword options — e.g.
+    ``warehouse=PATH`` points the worker at a shared scene warehouse).
     """
 
     def __init__(

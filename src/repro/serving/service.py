@@ -57,10 +57,10 @@ A request without ``"v"`` gets a structured ``unsupported_version``
 error and an undecodable line gets ``bad_json``, both stamped with
 this build's version.
 
-Protocol v2 adds the binary framed wire (:mod:`repro.api.frames`,
-served by :meth:`StreamingService.serve_frames` — the TCP front end
-auto-detects it per connection from the frame magic) and
-content-addressed scene transport: an ``audit`` request may name
+Protocol v2 adds the binary framed wire (:mod:`repro.api.frames`;
+each frame is answered by :meth:`StreamingService.handle_frame`, and
+the TCP gateway, :mod:`repro.serving.gateway`, detects the wire per
+connection from the frame magic) and content-addressed scene transport: an ``audit`` request may name
 ``scene_hashes`` instead of shipping ``scenes``; bodies arrive as
 packed-scene frame blobs, are decoded once into a bounded
 :class:`~repro.api.frames.SceneCache`, and hashes the cache cannot
@@ -288,9 +288,7 @@ class StreamingService:
             handled += 1
         return handled
 
-    def handle_frame(
-        self, header: dict, blobs: list[bytes]
-    ) -> tuple[dict, list[bytes]]:
+    def handle_frame(self, header: dict, blobs: list[bytes]) -> dict:
         """Process one framed request: ingest scene blobs, dispatch.
 
         Blobs are packed scenes (:func:`repro.api.frames.pack_scene`);
@@ -301,12 +299,8 @@ class StreamingService:
         in sync.
         """
         if not isinstance(header, dict):
-            return (
-                protocol.error_response(
-                    protocol.BAD_REQUEST,
-                    "frame header must be a request object",
-                ),
-                [],
+            return protocol.error_response(
+                protocol.BAD_REQUEST, "frame header must be a request object"
             )
         header = _sanitize_wire_request(header)
         if blobs:
@@ -316,51 +310,14 @@ class StreamingService:
                     fingerprint, scene = self.scene_cache.ingest(blob)
                     ingested[fingerprint] = scene
             except protocol.TransportError as exc:
-                return protocol.error_response(exc.code, exc.message), []
+                return protocol.error_response(exc.code, exc.message)
             header = dict(header)
             # Internal plumbing (never a wire field): the decoded
             # scenes of this request's blobs, held so resolution works
             # even when the LRU is smaller than one request, plus the
             # per-request hit/miss accounting.
             header["_ingested_scenes"] = ingested
-        return self.handle(header), []
-
-    def serve_frames(self, reader, writer) -> int:
-        """Binary framed loop: one frame in, one frame out, until EOF.
-
-        ``reader``/``writer`` are binary streams. Frame-level failures
-        that leave the stream unsynced (truncation, bad magic, a
-        declared size over the caps) end the conversation — after a
-        best-effort error frame for decodable-but-refused cases;
-        per-request failures are ordinary error responses and the loop
-        continues.
-        """
-        handled = 0
-        while True:
-            try:
-                frame = frames.read_frame(reader, allow_eof=True)
-            except protocol.StreamClosedError:
-                break  # peer died mid-frame: nothing left to answer
-            except protocol.TransportError as exc:
-                # Malformed/oversized: report once, then stop — the
-                # byte stream can no longer be trusted to re-sync.
-                try:
-                    frames.write_frame(
-                        writer, protocol.error_response(exc.code, exc.message)
-                    )
-                except OSError:
-                    pass
-                break
-            if frame is None:
-                break
-            header, blobs = frame
-            response, out_blobs = self.handle_frame(header, blobs)
-            try:
-                frames.write_frame(writer, response, tuple(out_blobs))
-            except (OSError, ValueError):
-                break  # peer gone mid-response
-            handled += 1
-        return handled
+        return self.handle(header)
 
     # ------------------------------------------------------------------
     def _op_open(self, request: dict) -> dict:

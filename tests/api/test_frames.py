@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from repro.api import AuditClient, AuditSpec, frames, protocol
 from repro.core.model import Scene
 from repro.geometry import Pose2D
-from repro.serving import StreamingService
-from repro.serving.tcp import TcpWorker
+from repro.serving import GatewayWorker, StreamingService
 
 from tests.api.test_backends import random_scenes
 from tests.serving.conftest import model_scene
@@ -224,7 +223,7 @@ class TestFramedTransport:
     def test_content_addressed_need_then_refill(self, api_fixy):
         """ids-first: an unknown hash is answered with need, the refill
         carries only that body, and the re-ask is all hits."""
-        worker = TcpWorker(api_fixy)
+        worker = GatewayWorker(api_fixy)
         try:
             spec = AuditSpec(kind="tracks", top_k=5).to_dict()
             packed = frames.pack_scene(model_scene("need", n_tracks=3))
@@ -256,7 +255,7 @@ class TestFramedTransport:
     def test_cache_smaller_than_request_still_completes(self, api_fixy):
         """Bodies shipped with a request are usable even when the LRU
         cannot hold them all — no need-loop."""
-        worker = TcpWorker(api_fixy, scene_cache=1)
+        worker = GatewayWorker(api_fixy, scene_cache=1)
         try:
             spec = AuditSpec(kind="tracks", top_k=8)
             scenes = [model_scene(f"small-{i}", n_tracks=2) for i in range(3)]
@@ -293,7 +292,7 @@ class TestFramedTransport:
         then the server hangs up (the stream cannot re-sync)."""
         import socket as socket_mod
 
-        worker = TcpWorker(api_fixy)
+        worker = GatewayWorker(api_fixy)
         try:
             host, port = worker.address.rsplit(":", 1)
             with socket_mod.create_connection((host, int(port)), timeout=10) as sock:

@@ -10,9 +10,9 @@ import pytest
 from repro.api import Audit, AuditResult, AuditSpec, protocol
 from repro.api.client import AuditClient
 from repro.obs import get_registry, serve_metrics
-from repro.serving import StreamingService
-from repro.serving.tcp import TcpWorker
+from repro.serving import GatewayWorker
 
+from tests.api.conftest import DyingWorker
 from tests.serving.conftest import model_scene
 
 
@@ -106,29 +106,12 @@ class TestStitchedTrace:
         assert {"audit", "rank", "compile"} <= names
 
 
-class _DyingService(StreamingService):
-    """Drops the connection on the first ``audit`` (see test_pool)."""
-
-    def __init__(self, fixy, **kw):
-        super().__init__(fixy, **kw)
-        self.audits_seen = 0
-
-    def handle(self, request):
-        if request.get("op") == "audit":
-            self.audits_seen += 1
-            raise SystemExit("simulated worker death")
-        return super().handle(request)
-
-
-@pytest.mark.filterwarnings(
-    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-)
 class TestTraceSurvivesRequeue:
     def test_requeued_partition_traced_twice(self, api_fixy):
         """A worker dying mid-audit leaves both attempts in the trace:
         the failed dispatch (error attr) and the successful retry."""
-        dying = _DyingService(api_fixy)
-        with TcpWorker(service=dying) as bad, TcpWorker(api_fixy) as good:
+        dying = DyingWorker(api_fixy)
+        with dying as bad, GatewayWorker(api_fixy) as good:
             spec = AuditSpec(kind="tracks", top_k=4)
             scenes = [model_scene(f"rqt-{i}", n_tracks=2) for i in range(4)]
             with Audit(spec, fixy=api_fixy) as audit:

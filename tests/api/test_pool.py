@@ -17,9 +17,9 @@ from repro.api import (
     protocol,
 )
 from repro.api.pool import partition_scenes
-from repro.serving import StreamingService
-from repro.serving.tcp import TcpWorker
+from repro.serving import GatewayWorker, StreamingService
 
+from tests.api.conftest import DyingWorker
 from tests.serving.conftest import model_scene
 
 
@@ -49,7 +49,6 @@ class TestRegistration:
             # its real ceiling is the additive max field.
             assert info["protocol_version"] == 1
             assert info["max_protocol_version"] == protocol.PROTOCOL_VERSION
-            assert endpoint.protocol_version == protocol.PROTOCOL_VERSION
             assert info["model_fingerprint"] == expected
             assert info["capacity"] == 1
             assert "audit" in info["ops"] and "health" in info["ops"]
@@ -111,7 +110,7 @@ class TestRegistration:
             listener.close()
 
     def test_capacity_weighting_from_hello(self, api_fixy):
-        with TcpWorker(api_fixy, capacity=3) as worker:
+        with GatewayWorker(api_fixy, capacity=3) as worker:
             pool = WorkerPool([worker.address])
             pool.connect()
             assert pool.endpoints[0].capacity == 3
@@ -250,13 +249,12 @@ class _JsonOnlyService(StreamingService):
 class TestWireNegotiation:
     def test_register_records_wire_and_version(self, tcp_workers):
         pool = WorkerPool(tcp_workers)
-        pool.connect()
-        for endpoint in pool.endpoints:
-            assert endpoint.protocol_version == protocol.PROTOCOL_VERSION
-            assert endpoint.supports_frames
+        for info in pool.connect():
+            assert info["max_protocol_version"] == protocol.PROTOCOL_VERSION
+            assert "frames" in info["wire_formats"]
 
     def test_wire_v2_rejects_v1_only_worker(self, api_fixy):
-        with TcpWorker(service=_JsonOnlyService(api_fixy)) as old:
+        with GatewayWorker(service=_JsonOnlyService(api_fixy)) as old:
             pool = WorkerPool([old.address])
             with pytest.raises(protocol.ProtocolError) as exc:
                 pool.connect()
@@ -305,7 +303,7 @@ class TestContentAddressedDispatch:
         is smaller than one chunk must refill and complete (resending
         the whole chunk's bodies), not ping-pong need replies into
         unknown_scene_hash."""
-        worker = TcpWorker(api_fixy, scene_cache=4)
+        worker = GatewayWorker(api_fixy, scene_cache=4)
         try:
             spec = AuditSpec(kind="tracks", top_k=10)
             scenes = [model_scene(f"lru-{i}", n_tracks=2) for i in range(8)]
@@ -327,7 +325,7 @@ class TestContentAddressedDispatch:
         """The coordinator's mirror replays the worker's LRU order, so
         a hot set reused on every other audit stays known however many
         fresh scenes pass through the worker's cache in between."""
-        worker = TcpWorker(api_fixy, scene_cache=8)
+        worker = GatewayWorker(api_fixy, scene_cache=8)
         try:
             spec = AuditSpec(kind="tracks", top_k=5)
             hot = [model_scene(f"hot-{i}", n_tracks=2) for i in range(4)]
@@ -493,7 +491,7 @@ class TestCapacityElasticity:
     def test_refresh_capacity_folds_health_into_weighting(self, api_fixy):
         """A worker whose advertised capacity grows between audits gets
         a proportionally bigger partition after the next health probe."""
-        with TcpWorker(api_fixy) as a, TcpWorker(api_fixy) as b:
+        with GatewayWorker(api_fixy) as a, GatewayWorker(api_fixy) as b:
             pool = WorkerPool([a.address, b.address], capacity_refresh=0.0)
             pool.connect()
             assert [e.capacity for e in pool.endpoints] == [1, 1]
@@ -506,7 +504,7 @@ class TestCapacityElasticity:
     def test_refresh_capacity_respects_interval(self, api_fixy):
         """Within the refresh window the registration-time capacity is
         trusted — no health probe per audit."""
-        with TcpWorker(api_fixy) as worker:
+        with GatewayWorker(api_fixy) as worker:
             pool = WorkerPool([worker.address], capacity_refresh=3600.0)
             pool.connect()
             worker.service.capacity = 5
@@ -516,7 +514,7 @@ class TestCapacityElasticity:
     def test_audit_rebalances_when_capacity_changes(self, api_fixy):
         """Acceptance: the remote backend re-weights partitions across
         audits as a worker's advertised capacity changes."""
-        with TcpWorker(api_fixy) as a, TcpWorker(api_fixy) as b:
+        with GatewayWorker(api_fixy) as a, GatewayWorker(api_fixy) as b:
             spec = AuditSpec(kind="tracks", top_k=10)
             scenes = [model_scene(f"cap-{i}", n_tracks=2) for i in range(8)]
             backend = get_backend(
@@ -543,35 +541,13 @@ class TestCapacityElasticity:
                 backend.close()
 
 
-class _DyingService(StreamingService):
-    """Accepts hello/health but drops the connection on the first
-    ``audit`` — a worker that dies mid-audit, as the client sees it."""
-
-    def __init__(self, fixy, **kw):
-        super().__init__(fixy, **kw)
-        self.audits_seen = 0
-
-    def handle(self, request):
-        if request.get("op") == "audit":
-            self.audits_seen += 1
-            # SystemExit skips every except-Exception layer (service,
-            # socketserver) and threads swallow it silently: the
-            # connection just drops, exactly like a killed process.
-            raise SystemExit("simulated worker death")
-        return super().handle(request)
-
-
-@pytest.mark.filterwarnings(
-    # The simulated death intentionally kills handler threads.
-    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-)
 class TestRequeue:
     def test_partition_requeued_off_dead_worker(self, api_fixy):
         """Acceptance: an audit over 2 workers survives one dying
         mid-audit; the partition is requeued and the merged ranking is
         byte-identical to inline."""
-        dying = _DyingService(api_fixy)
-        with TcpWorker(service=dying) as bad, TcpWorker(api_fixy) as good:
+        dying = DyingWorker(api_fixy)
+        with dying as bad, GatewayWorker(api_fixy) as good:
             spec = AuditSpec(kind="tracks", top_k=8)
             scenes = [model_scene(f"rq-{i}", n_tracks=3) for i in range(4)]
             with Audit(spec, fixy=api_fixy) as audit:
@@ -590,7 +566,7 @@ class TestRequeue:
             assert sorted(r["attempts"] for r in reports) == [1, 2]
 
     def test_all_workers_dead_mid_audit_raises(self, api_fixy):
-        with TcpWorker(service=_DyingService(api_fixy)) as only:
+        with DyingWorker(api_fixy) as only:
             spec = AuditSpec(kind="tracks")
             with Audit(spec, fixy=api_fixy) as audit:
                 with pytest.raises(protocol.ProtocolError) as exc:

@@ -12,12 +12,7 @@ import pytest
 from repro.api import AuditClient, AuditSpec, FilterSpec
 from repro.api import protocol
 from repro.api.client import parse_address
-from repro.serving import (
-    GatewayWorker,
-    InsertObservation,
-    StreamingService,
-    TcpWorker,
-)
+from repro.serving import GatewayWorker, InsertObservation, StreamingService
 
 from tests.core.conftest import make_obs
 from tests.serving.conftest import GatedService, model_scene
@@ -87,26 +82,31 @@ def _socket_exchange(address, lines: list[str]) -> list[dict]:
     return responses
 
 
+#: JSON values equal to a supported version in Python that are not
+#: protocol versions.
+NON_INTEGER_VERSIONS = (True, 1.0, 2.0)
+
+
 class TestOneDialect:
-    @pytest.mark.parametrize("front", ["stdio", "tcp", "gateway"])
+    @pytest.mark.parametrize("front", ["stdio", "gateway"])
     def test_unversioned_and_bad_json_are_structured(
         self, api_fixy, tmp_path, front
     ):
-        """Every front answers a request without ``"v"`` with a
-        structured ``unsupported_version`` and an undecodable line with
-        ``bad_json``, both stamped with this build's version, and keeps
-        serving versioned requests on the same stream. The gateway's
-        load shedding answers a version-less request the same way."""
+        """Every front answers a request without ``"v"`` or with a
+        non-integer ``"v"`` with a structured ``unsupported_version``
+        and an undecodable line with ``bad_json``, all stamped with
+        this build's version, and keeps serving versioned requests on
+        the same stream. The gateway's load shedding answers such
+        requests the same way."""
         lines = [
             json.dumps({"op": "stats"}),
             "this is not json",
+            *(json.dumps({"v": v, "op": "stats"})
+              for v in NON_INTEGER_VERSIONS),
             json.dumps({"v": 1, "op": "stats"}),
         ]
         if front == "stdio":
             responses = _stdio_exchange(api_fixy, tmp_path, lines)
-        elif front == "tcp":
-            with TcpWorker(api_fixy) as worker:
-                responses = _socket_exchange(worker.address, lines)
         else:
             service = GatedService(api_fixy)
             with GatewayWorker(
@@ -121,18 +121,28 @@ class TestOneDialect:
                     parked.write(b'{"v": 1, "op": "stats", "gate": true}\n')
                     parked.flush()
                     assert service.entered.wait(timeout=10)
-                    (shed,) = _socket_exchange(
-                        worker.address, [json.dumps({"op": "stats"})]
+                    sheds = _socket_exchange(
+                        worker.address,
+                        [json.dumps({"op": "stats"})]
+                        + [
+                            json.dumps({"v": v, "op": "stats"})
+                            for v in NON_INTEGER_VERSIONS
+                        ],
                     )
                     service.release()
                     assert json.loads(parked.readline())["ok"] is True
-            assert shed["ok"] is False
-            assert shed["v"] == protocol.PROTOCOL_VERSION
-            assert shed["error"]["code"] == protocol.OVERLOADED
-        unversioned, garbage, v1 = responses
-        assert unversioned["ok"] is False
-        assert unversioned["v"] == protocol.PROTOCOL_VERSION
-        assert unversioned["error"]["code"] == protocol.UNSUPPORTED_VERSION
+            for shed in sheds:
+                assert shed["ok"] is False
+                assert type(shed["v"]) is int
+                assert shed["v"] == protocol.PROTOCOL_VERSION
+                assert shed["error"]["code"] == protocol.OVERLOADED
+        unversioned, garbage, *non_integer, v1 = responses
+        assert len(non_integer) == len(NON_INTEGER_VERSIONS)
+        for rejected in (unversioned, *non_integer):
+            assert rejected["ok"] is False
+            assert type(rejected["v"]) is int
+            assert rejected["v"] == protocol.PROTOCOL_VERSION
+            assert rejected["error"]["code"] == protocol.UNSUPPORTED_VERSION
         assert garbage["ok"] is False
         assert garbage["v"] == protocol.PROTOCOL_VERSION
         assert garbage["error"]["code"] == protocol.BAD_JSON

@@ -1,10 +1,11 @@
-"""Async gateway tests: wires, admission, coalescing, drain, identity.
+"""Async gateway tests: wires, admission, coalescing, drain, lifecycle,
+identity.
 
-The gateway's contract is that it *is* the threaded front, minus the
-thread-per-connection: every response byte-identical, both wires
-spoken — plus the new admission behavior
-(typed ``overloaded`` shedding, never a hang or a silent drop) and
-compile coalescing for concurrent same-scene audits.
+The gateway is the TCP front: both wires spoken on one listener, every
+response byte-identical to serial ``StreamingService.handle``, plus
+admission control (typed ``overloaded`` shedding, never a hang or a
+silent drop), compile coalescing for concurrent same-scene audits, and
+a stop that leaves no connection or thread behind.
 """
 
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import frames, protocol
 from repro.api.client import AuditClient, parse_address
 from repro.api.protocol import OverloadedError
-from repro.serving import GatewayWorker, StreamingService, TcpWorker
+from repro.serving import GatewayWorker, StreamingService
 from repro.serving.edits import InsertObservation, RemoveTrack
 
 from tests.core.conftest import make_obs
@@ -102,7 +103,7 @@ class TestWires:
                 response = json.loads(stream.readline())
                 assert response["ok"] is False
                 assert "bad JSON" in response["error"]["message"]
-                # The connection survives, like the threaded serve loop.
+                # The connection survives, like the stdio serve loop.
                 assert _raw_call(stream, {"v": 2, "op": "stats"})["ok"] is True
             finally:
                 stream.close()
@@ -350,6 +351,51 @@ class TestDrain:
         assert _CONNECTIONS.value() == 0
 
 
+# -------------------------------------------------------------- lifecycle
+
+
+class TestLifecycle:
+    def test_stop_closes_live_connections(self, fitted_fixy):
+        """`stop()` must end accepted conversations, not just the
+        listener: a client parked on an idle read sees a prompt EOF."""
+        worker = GatewayWorker(fitted_fixy)
+        sock, stream = _raw_connect(worker.address)
+        try:
+            assert _raw_call(stream, {"v": 1, "op": "stats"})["ok"] is True
+            # The client now sits idle; stopping the worker must close
+            # its connection.
+            worker.stop()
+            sock.settimeout(10)  # a hang here is the bug this test pins
+            assert stream.readline() == b""
+        finally:
+            stream.close()
+            sock.close()
+        assert not worker.thread.is_alive()
+
+    def test_stop_leaves_no_gateway_threads(self, fitted_fixy):
+        """No ``gateway-worker`` (event loop) or ``gateway-exec``
+        (executor) thread of a stopped worker stays alive. Other live
+        gateways (session fixtures) are left out by the snapshot."""
+        before = set(threading.enumerate())
+        worker = GatewayWorker(fitted_fixy)
+        clients = [AuditClient.connect(worker.address) for _ in range(3)]
+        for client in clients:
+            client.stats()
+        spawned = [
+            t for t in threading.enumerate()
+            if t not in before and t.name.startswith("gateway-")
+        ]
+        names = {t.name for t in spawned}
+        assert "gateway-worker" in names
+        assert any(name.startswith("gateway-exec") for name in names)
+        worker.stop()
+        for client in clients:
+            client.close()
+        for thread in spawned:
+            thread.join(timeout=10)
+            assert not thread.is_alive(), thread.name
+
+
 # ---------------------------------------------- concurrent byte identity
 
 
@@ -487,12 +533,10 @@ class TestConcurrentByteIdentity:
             max_size=4,
         )
     )
-    def test_interleaved_clients_match_threaded_and_serial(
-        self, fitted_fixy, schedules
-    ):
+    def test_interleaved_clients_match_serial(self, fitted_fixy, schedules):
         """N interleaved clients, mixed audit/edit/standing ops: the
-        gateway, the threaded front, and plain serial execution all
-        produce identical responses (hypothesis draws the schedule)."""
+        gateway and plain serial execution produce identical responses
+        (hypothesis draws the schedule)."""
         per_client = [
             _client_ops(i, codes) for i, codes in enumerate(schedules)
         ]
@@ -502,11 +546,6 @@ class TestConcurrentByteIdentity:
 
         with GatewayWorker(service=fresh(), max_inflight=3) as worker:
             via_gateway = _run_interleaved(worker.address, per_client)
-        threaded = TcpWorker(service=fresh())
-        try:
-            via_threads = _run_interleaved(threaded.address, per_client)
-        finally:
-            threaded.stop()
         serial_service = fresh()
         via_serial = _strip_timings(
             [
@@ -515,4 +554,3 @@ class TestConcurrentByteIdentity:
             ]
         )
         assert via_gateway == via_serial
-        assert via_threads == via_serial

@@ -236,7 +236,9 @@ def served_artifacts(tmp_path_factory):
 
 def spawn_serve(model_path: str, *extra_flags: str) -> subprocess.Popen:
     """`python -m repro.cli serve --listen 127.0.0.1:0 ...`; the bound
-    address is parsed off stderr and stored on ``proc.address``."""
+    address is parsed off the gateway's stderr banner (the line
+    perfbench/remote_audit.py waits for) and stored on
+    ``proc.address``."""
     import os
 
     proc = subprocess.Popen(
@@ -247,7 +249,7 @@ def spawn_serve(model_path: str, *extra_flags: str) -> subprocess.Popen:
         env={**os.environ, "PYTHONPATH": "src"},
     )
     for line in proc.stderr:
-        found = re.search(r"listening on (\S+)", line)
+        found = re.match(r"gateway listening on (\S+) \(", line)
         if found:
             proc.address = found.group(1)
             return proc
@@ -314,6 +316,38 @@ class TestServeListen:
         assert hello["capacity"] == 1
         with AuditClient.connect(capacity_worker.address, timeout=30) as client:
             assert client.hello()["capacity"] == 2
+
+    def test_async_is_a_hidden_no_op(self, served_artifacts, capsys):
+        """`--async` still parses (perfbench/remote_audit.py passes it)
+        and starts the same gateway; `serve --help` does not list it."""
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert "--async" not in capsys.readouterr().out
+        proc = spawn_serve(
+            served_artifacts["model_path"], "--async", "--scene-cache", "16"
+        )
+        try:
+            hello = raw_request(proc.address, {"v": 2, "op": "hello"})
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+        assert hello["ok"] is True
+        assert hello["scene_cache"] == 16
+
+    def test_sigterm_after_a_conversation_exits_cleanly(
+        self, served_artifacts
+    ):
+        """A worker stopped right after a client hangs up drains and
+        exits 0 without an asyncio traceback on stderr."""
+        proc = spawn_serve(served_artifacts["model_path"])
+        try:
+            assert raw_request(proc.address, {"v": 2, "op": "stats"})["ok"]
+        finally:
+            proc.terminate()
+            _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0
+        assert "Traceback" not in err
+        assert "served 1 requests" in err
 
     def test_serve_busy_port_fails_cleanly(
         self, worker, served_artifacts, capsys

@@ -4,7 +4,7 @@ byte — inline and remote, cold sidecars and warm, pruned and full."""
 import pytest
 
 from repro.api import Audit, AuditSpec, SceneSource
-from repro.serving.tcp import TcpWorker
+from repro.serving import GatewayWorker
 from repro.warehouse import ScenePredicate, SceneWarehouse
 
 from tests.warehouse.conftest import build_corpus
@@ -126,9 +126,9 @@ def test_remote_out_of_core_byte_identity_mixed_pool(
     sharing worker gets hashes only, the plain worker refills via need,
     and the merged ranking is byte-identical to inline in-memory."""
     expected = reference(fitted_fixy, corpus, "tracks")
-    with TcpWorker(fitted_fixy, warehouse=corpus_db) as sharing, TcpWorker(
-        fitted_fixy
-    ) as plain:
+    with GatewayWorker(
+        fitted_fixy, warehouse=corpus_db
+    ) as sharing, GatewayWorker(fitted_fixy) as plain:
         spec = AuditSpec(
             kind="tracks",
             top_k=12,
@@ -153,7 +153,7 @@ def test_remote_out_of_core_byte_identity_mixed_pool(
 def test_remote_pruned_warm_rerun(fitted_fixy, corpus, corpus_db):
     predicate = ScenePredicate.tag("even")
     expected = reference(fitted_fixy, corpus, "bundles", predicate)
-    with TcpWorker(fitted_fixy, warehouse=corpus_db) as worker:
+    with GatewayWorker(fitted_fixy, warehouse=corpus_db) as worker:
         spec = AuditSpec(
             kind="bundles",
             top_k=12,
