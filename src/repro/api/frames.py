@@ -172,12 +172,11 @@ def _decode_header(header_bytes: bytes) -> dict:
     return header
 
 
-def read_frame(reader, allow_eof: bool = False):
+def read_frame(reader):
     """Read one frame from a binary reader.
 
-    Returns ``(header, blobs)``; ``None`` on a clean EOF at a frame
-    boundary when ``allow_eof`` (the server's end-of-conversation).
-    Raises :class:`~repro.api.protocol.StreamClosedError` on a
+    Returns ``(header, blobs)``. Raises
+    :class:`~repro.api.protocol.StreamClosedError` on EOF or a
     truncated frame, :class:`~repro.api.protocol.FrameDecodeError` on
     bad magic or a non-object header, and
     :class:`~repro.api.protocol.FrameTooLargeError` when a declared
@@ -186,8 +185,6 @@ def read_frame(reader, allow_eof: bool = False):
     """
     first = reader.read(1)
     if not first:
-        if allow_eof:
-            return None
         raise protocol.StreamClosedError(
             "stream closed before a frame arrived"
         )
@@ -229,8 +226,10 @@ async def _read_exact_async(reader, n: int, context: str) -> bytes:
 async def read_frame_async(reader, allow_eof: bool = False, prefix: bytes = b""):
     """:func:`read_frame` over an :class:`asyncio.StreamReader`.
 
-    Identical semantics and typed failures to the blocking reader —
-    the same prelude/size validation runs on both paths. ``prefix`` is
+    The same typed failures as the blocking reader — the same
+    prelude/size validation runs on both paths — except that a clean
+    EOF at a frame boundary returns ``None`` when ``allow_eof`` (the
+    gateway's end-of-conversation). ``prefix`` is
     bytes the caller already consumed (the async gateway reads one
     byte per connection to sniff the wire format); they are treated as
     the frame's opening bytes.

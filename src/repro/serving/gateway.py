@@ -202,8 +202,11 @@ class AsyncGateway:
         """Graceful drain: stop accepting, finish in-flight, close."""
         self._draining = True
         if self._server is not None:
+            # close() alone shuts the listener. Not awaiting
+            # wait_closed(): since Python 3.12 it also waits for every
+            # accepted connection to drop, so an idle client would
+            # hold shutdown open; the connections are closed below.
             self._server.close()
-            await self._server.wait_closed()
         deadline = self._loop.time() + self.drain_timeout
         while (self._inflight or self._unwritten) and (
             self._loop.time() < deadline

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.api import frames
+from repro.api import frames, protocol
 from repro.core import Fixy, default_features
 from repro.serving import GatewayWorker, StreamingService
 
@@ -70,10 +70,10 @@ class DyingWorker:
             framed = reader.peek(1)[:1] == frames.MAGIC[:1]
             while True:
                 if framed:
-                    frame = frames.read_frame(reader, allow_eof=True)
-                    if frame is None:
+                    try:
+                        request, blobs = frames.read_frame(reader)
+                    except protocol.StreamClosedError:
                         return
-                    request, blobs = frame
                 else:
                     line = reader.readline()
                     if not line:

@@ -2,6 +2,7 @@
 packed-scene encoding, the worker scene cache, and the framed TCP
 transport end-to-end (content-addressed audits, the ``need`` refill)."""
 
+import asyncio
 import io
 import struct
 
@@ -49,7 +50,14 @@ class TestFrameCodec:
                 frames.read_frame(io.BytesIO(data[:cut]))
 
     def test_eof_at_boundary(self):
-        assert frames.read_frame(io.BytesIO(b""), allow_eof=True) is None
+        async def read_empty(**options):
+            reader = asyncio.StreamReader()
+            reader.feed_eof()
+            return await frames.read_frame_async(reader, **options)
+
+        assert asyncio.run(read_empty(allow_eof=True)) is None
+        with pytest.raises(protocol.StreamClosedError):
+            asyncio.run(read_empty())
         with pytest.raises(protocol.StreamClosedError):
             frames.read_frame(io.BytesIO(b""))
 

@@ -8,6 +8,7 @@ silent drop), compile coalescing for concurrent same-scene audits, and
 a stop that leaves no connection or thread behind.
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -354,23 +355,51 @@ class TestDrain:
 # -------------------------------------------------------------- lifecycle
 
 
+def _assert_stop_closes_idle_client(fixy) -> None:
+    worker = GatewayWorker(fixy)
+    sock, stream = _raw_connect(worker.address)
+    try:
+        assert _raw_call(stream, {"v": 1, "op": "stats"})["ok"] is True
+        # The client now sits idle; stopping the worker must close its
+        # connection.
+        worker.stop()
+        sock.settimeout(10)  # a hang here is the bug this pins
+        assert stream.readline() == b""
+    finally:
+        stream.close()
+        sock.close()
+    assert not worker.thread.is_alive()
+
+
+async def _wait_closed_since_python_312(server) -> None:
+    """``Server.wait_closed`` as Python 3.12 has it: it also waits
+    until every accepted connection has dropped (3.11 returns once the
+    listener is closed)."""
+    if server._waiters is None:
+        return
+    waiter = server._loop.create_future()
+    server._waiters.append(waiter)
+    await waiter
+
+
 class TestLifecycle:
     def test_stop_closes_live_connections(self, fitted_fixy):
         """`stop()` must end accepted conversations, not just the
         listener: a client parked on an idle read sees a prompt EOF."""
-        worker = GatewayWorker(fitted_fixy)
-        sock, stream = _raw_connect(worker.address)
-        try:
-            assert _raw_call(stream, {"v": 1, "op": "stats"})["ok"] is True
-            # The client now sits idle; stopping the worker must close
-            # its connection.
-            worker.stop()
-            sock.settimeout(10)  # a hang here is the bug this test pins
-            assert stream.readline() == b""
-        finally:
-            stream.close()
-            sock.close()
-        assert not worker.thread.is_alive()
+        _assert_stop_closes_idle_client(fitted_fixy)
+
+    def test_stop_closes_live_connections_with_312_wait_closed(
+        self, fitted_fixy, monkeypatch
+    ):
+        """The same check under Python 3.12's ``Server.wait_closed``,
+        which would hold shutdown open for as long as the idle client
+        stays connected if shutdown awaited it first."""
+        monkeypatch.setattr(
+            asyncio.base_events.Server,
+            "wait_closed",
+            _wait_closed_since_python_312,
+        )
+        _assert_stop_closes_idle_client(fitted_fixy)
 
     def test_stop_leaves_no_gateway_threads(self, fitted_fixy):
         """No ``gateway-worker`` (event loop) or ``gateway-exec``
