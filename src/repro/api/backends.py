@@ -12,8 +12,6 @@ name       strategy
 inline     serial per-scene compile + rank in the calling thread
 session    one incremental :class:`~repro.serving.session.SceneSession`
            per scene, served through a standing-audit subscription
-           (``standing`` option, default true; false = the spliced
-           full-rescore path)
 remote     :class:`~repro.api.pool.WorkerPool` over N TCP workers
            (``repro.cli serve --listen``; ``workers``/``timeout``/
            ``connect_timeout``/``check_model`` options; partitions
@@ -167,7 +165,7 @@ class InlineBackend(ExecutionBackend):
         chunks: each batch is fetched, scored (through the warehouse's
         compiled-columns sidecar when the model fingerprint matches —
         skipping ``compile_scene``), merged into the running ranking,
-        evicted from the engine's compile cache, and dropped. The
+        and dropped; nothing enters the engine's scorer cache. The
         progressive merge is exact: re-merging the already-merged
         prefix as block 0 with each batch's blocks yields
         byte-identical results to one global merge (see
@@ -208,7 +206,6 @@ class InlineBackend(ExecutionBackend):
                     else:
                         compile_cold += 1
                     blocks.append(scorer.rank(spec.kind, filt, spec.top_k))
-                    fixy._evict_scene(scene)
                 n_scenes += len(batch)
                 merged = merge_rankings([merged, *blocks], spec.top_k)
                 del blocks, scorer, scene
@@ -237,28 +234,20 @@ class SessionBackend(ExecutionBackend):
     from — the backend to pick when results must match what the
     streaming service will say. Requires a vectorized engine.
 
-    By default (``standing=True``) each scene is served through a
+    Each scene is served through a
     :class:`~repro.serving.standing.StandingAudit` subscription — the
     incrementally maintained per-track top-k structure the streaming
     service updates on every edit — so a batch run exercises the same
-    maintenance code the standing ``subscribe``/``edit`` ops use.
-    ``standing=False`` falls back to the spliced full-rescore path
-    (``session.rank``); both are byte-identical, and both truncate each
-    scene's block to ``top_k`` before the merge, which
+    maintenance code the standing ``subscribe``/``edit`` ops use. Each
+    scene's block is truncated to ``top_k`` before the merge, which
     :func:`~repro.core.scoring.merge_rankings` shows is exact.
     """
-
-    def __init__(self, standing: bool = True):
-        self.standing = bool(standing)
 
     def run(self, fixy, spec, scenes, filt) -> list[ScoredItem]:
         blocks = []
         for scene in scenes:
             session = fixy.session(scene)
-            if self.standing:
-                audit = session.subscribe(spec, filt=filt)
-                blocks.append(audit.results())
-                session.unsubscribe(audit.audit_id)
-            else:
-                blocks.append(session.rank(spec.kind, filt, spec.top_k))
+            audit = session.subscribe(spec, filt=filt)
+            blocks.append(audit.results())
+            session.unsubscribe(audit.audit_id)
         return merge_rankings(blocks, spec.top_k)

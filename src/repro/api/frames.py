@@ -37,8 +37,9 @@ ones.
 **Content addressing.** :func:`scene_fingerprint` names a packed scene
 by the blake2b of its bytes. A coordinator ships ``scene_hashes`` and
 only the bodies the worker's :class:`SceneCache` (bounded LRU of
-*decoded* scenes, keyed by fingerprint) does not already hold — the
-second audit of the same scene set ships ids, not bodies.
+*decoded* scenes and their scorers, keyed by fingerprint) does not
+already hold — the second audit of the same scene set ships ids, not
+bodies, and compiles nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.api import protocol
+from repro.core.scoring import Scorer
 
 __all__ = [
     "MAGIC",
@@ -361,19 +363,20 @@ def scene_fingerprint(packed: bytes) -> str:
 # Worker-side scene cache
 # ---------------------------------------------------------------------------
 class SceneCache:
-    """Bounded LRU of *decoded* scenes keyed by content fingerprint.
+    """Bounded LRU of decoded scenes and their scorers, keyed by
+    content fingerprint.
 
     The worker half of content-addressed scene transport: blobs are
-    ingested once (hash + decode), later audits naming the same hash
-    reuse the decoded ``Scene`` object — which also keeps the engine's
-    compiled-scene LRU warm, since that cache is keyed by object
-    identity. Thread-safe: one service instance serves many
-    connections.
+    ingested once (hash + decode) into an entry, ``[scene, scorer]``,
+    whose scorer slot the scene's first audit fills; later audits
+    naming the same hash reuse both, so ``maxsize`` bounds decoded
+    scenes and compiled state together. Thread-safe: one service
+    instance serves many connections.
     """
 
     def __init__(self, maxsize: int = 256):
         self.maxsize = max(1, int(maxsize))
-        self._entries: OrderedDict[str, object] = OrderedDict()
+        self._entries: OrderedDict[str, list] = OrderedDict()
         self._lock = threading.Lock()
         #: Lookups served from cache (``get`` found it, or an ``ingest``
         #: short-circuited on an already-decoded entry).
@@ -388,41 +391,51 @@ class SceneCache:
         with self._lock:
             return len(self._entries)
 
-    def ingest(self, blob: bytes) -> tuple[str, object]:
+    def ingest(self, blob: bytes) -> tuple[str, list]:
         """Hash + decode + store one packed-scene blob.
 
-        Returns ``(fingerprint, scene)`` — the caller holds the
-        decoded scene for the current request even if a
-        smaller-than-request cache evicts it immediately.
+        Returns ``(fingerprint, entry)`` — the caller holds the entry
+        for the current request even if a smaller-than-request cache
+        evicts it immediately.
         """
         fingerprint = scene_fingerprint(blob)
         with self._lock:
-            scene = self._entries.get(fingerprint)
-            if scene is not None:
+            entry = self._entries.get(fingerprint)
+            if entry is not None:
                 self._entries.move_to_end(fingerprint)
                 self.hits += 1  # body was resent, but no decode needed
-                return fingerprint, scene
-        scene = unpack_scene(blob)  # decode outside the lock
+                return fingerprint, entry
+        entry = [unpack_scene(blob), None]  # decode outside the lock
         with self._lock:
             self.decodes += 1
-            self._entries[fingerprint] = scene
+            self._entries[fingerprint] = entry
             self._entries.move_to_end(fingerprint)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        return fingerprint, scene
+        return fingerprint, entry
 
-    def get(self, fingerprint: str):
-        """The decoded scene for ``fingerprint``, or ``None`` (a miss
-        the caller must refill via ``need``)."""
+    def get(self, fingerprint: str) -> list | None:
+        """The entry for ``fingerprint``, or ``None`` (a miss the
+        caller must refill via ``need``)."""
         with self._lock:
-            scene = self._entries.get(fingerprint)
-            if scene is not None:
+            entry = self._entries.get(fingerprint)
+            if entry is not None:
                 self._entries.move_to_end(fingerprint)
                 self.hits += 1
             else:
                 self.misses += 1
-            return scene
+            return entry
+
+    def scorer(self, entry: list, fixy):
+        """``entry``'s scorer, compiled by ``fixy`` on first use. Racing
+        first audits may both compile; the first scorer kept wins."""
+        if entry[1] is None:
+            scorer = Scorer(fixy.compile(entry[0]))  # outside the lock
+            with self._lock:
+                if entry[1] is None:
+                    entry[1] = scorer
+        return entry[1]
 
     def stats(self) -> dict:
         with self._lock:

@@ -40,7 +40,9 @@ turns a list of worker addresses into a distributed executor:
    A worker that dies mid-partition — EOF, refused connection,
    timeout — is retired and its *unfinished* chunks are requeued onto
    the next healthy worker; only when every worker is gone does the
-   pool raise ``worker_unavailable``.
+   pool raise ``worker_unavailable``. A worker that sheds a chunk
+   (``overloaded``) stays registered: the pool backs off and resends
+   the unfinished chunks to it, up to ``MAX_SHED_RETRIES`` times.
 5. **Merge**: per-chunk rankings (each already merged and truncated
    worker-side) are merged once more in global chunk order with the
    coordinator's ``top_k`` — provably equal to the single global merge
@@ -52,14 +54,16 @@ worker scene-cache hits/misses) which the ``remote`` backend surfaces
 as ``AuditResult.provenance.workers``.
 
 The payload cache assumes scenes are not mutated in place between
-audits through the same pool (scene *objects* are the cache key); edit
-workflows go through :class:`~repro.serving.session.SceneSession`,
-which never mutates the source scene. Call
-:meth:`WorkerPool.clear_scene_cache` after mutating a scene in place.
+audits through the same pool (scene *objects* are the cache key), and
+:meth:`SceneSession.apply <repro.serving.session.SceneSession.apply>`
+does mutate its scene. Call :meth:`WorkerPool.clear_scene_cache` after
+any in-place edit, session edits included; until then the pool ships
+the scene's stale packed bytes.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 import weakref
@@ -719,7 +723,7 @@ class WorkerPool:
 
         def run_partition(slot: int) -> None:
             worker, chunk_jobs = jobs[slot]
-            attempts = 0
+            attempts = sheds = 0
             tried: set[str] = set()
             fresh_retried: set[str] = set()
             remaining = chunk_jobs
@@ -751,6 +755,23 @@ class WorkerPool:
                             warehouse=warehouse,
                         )
                         dispatch_span.attrs["wire"] = stats["wire"]
+                except protocol.OverloadedError:
+                    # A shed is not a death: the worker stays registered.
+                    # Back off (capped exponential, full jitter), then
+                    # resend the unfinished chunks to it on a fresh
+                    # connection (release() dropped the shed one).
+                    sheds += 1
+                    if sheds > self.MAX_SHED_RETRIES:
+                        raise
+                    ceiling = min(
+                        self.SHED_BACKOFF_CAP_S,
+                        self.SHED_BACKOFF_S * 2 ** (sheds - 1),
+                    )
+                    time.sleep(random.uniform(0.0, ceiling))
+                    remaining = [
+                        job for job in remaining if blocks[job[0]] is None
+                    ]
+                    continue
                 except protocol.TransportError as exc:
                     elapsed = watch.s
                     if (
@@ -854,6 +875,13 @@ class WorkerPool:
     #: declares the worker's cache broken (refusing what it was just
     #: sent is a protocol violation, not an outage).
     MAX_REFILLS = 3
+
+    #: Times one partition may be shed (``overloaded``) before the
+    #: error propagates. Retry ``n`` first sleeps a uniform draw from
+    #: ``[0, min(SHED_BACKOFF_CAP_S, SHED_BACKOFF_S * 2 ** (n - 1))]``.
+    MAX_SHED_RETRIES = 8
+    SHED_BACKOFF_S = 0.01
+    SHED_BACKOFF_CAP_S = 0.5
 
     def _dispatch(
         self, worker, spec_payload, chunk_jobs, blocks,

@@ -9,8 +9,6 @@ Subcommands (also exposed as ``python -m repro.cli``):
 - ``audit``       execute a declarative :class:`repro.api.AuditSpec`
                   (from a JSON file or flags) on any backend and print
                   the typed :class:`repro.api.AuditResult` as JSON;
-- ``bench``       A/B the scalar reference vs the columnar fast path
-                  (compile+rank) and optionally persist the report;
 - ``serve``       run the streaming serving loop: line-delimited JSON
                   protocol requests on stdin, responses on stdout —
                   or, with ``--listen HOST:PORT``, behind the TCP
@@ -33,7 +31,6 @@ Examples::
     python -m repro.cli audit --profile internal --scene 0 --top 10 \
         --model-only --backend session
     python -m repro.cli audit --spec audit.json --out result.json
-    python -m repro.cli bench --densities 10 100 --out BENCH_scaling.json
     python -m repro.cli serve --model model.json < requests.jsonl
     python -m repro.cli serve --model model.json --listen 0.0.0.0:7500
     python -m repro.cli audit --paths scene.json --model model.json \
@@ -171,19 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "workers) and write it to PATH as JSONL, one span per line",
     )
 
-    bench = sub.add_parser(
-        "bench", help="A/B the scalar vs columnar compile+rank pipelines"
-    )
-    bench.add_argument(
-        "--densities", type=int, nargs="+", default=[10, 25, 50, 100],
-        help="objects per scene to sweep",
-    )
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument(
-        "--out", default=None,
-        help="also write the JSON report to this path",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="streaming serving loop: JSON requests on stdin, responses "
@@ -229,9 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--scene-cache", type=int, default=256,
-        help="decoded scenes kept by content hash for the v2 "
-        "content-addressed transport (bounded LRU; advertised in "
-        "hello; default 256)",
+        help="scenes kept by content hash for the v2 content-addressed "
+        "transport, each decoded once and compiled on its first audit "
+        "(bounded LRU over both: about 1.5-2.2 MB per audited scene of "
+        "1.0-1.4k observations; advertised in hello; default 256)",
     )
     serve.add_argument(
         "--metrics-addr", default=None, metavar="HOST:PORT",
@@ -521,26 +506,6 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.eval.perf import ab_compile_rank, render_report
-
-    report = ab_compile_rank(
-        densities=tuple(args.densities), repeats=args.repeats
-    )
-    print(render_report(report))
-    if args.out:
-        import time
-
-        Path(args.out).write_text(
-            json.dumps({"generated_at": time.time(), "ab": report}, indent=2),
-            encoding="utf-8",
-        )
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_warehouse(args) -> int:
     """Corpus management: ingest / query / stats on a SceneWarehouse."""
     import json
@@ -772,8 +737,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_experiment(args)
     if args.command == "audit":
         return _cmd_audit(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     return _cmd_warehouse(args)

@@ -67,9 +67,8 @@ def _default_class_of(scored: ScoredItem) -> str:
 class MissingTrackFinder:
     """Find tracks entirely missed by human labelers (§7, §8.2).
 
-    Extra keyword arguments (``vectorized``, ``fast_density``,
-    ``compile_cache_size``) pass through to
-    :class:`~repro.core.engine.Fixy`.
+    Extra keyword arguments (``vectorized``, ``fast_density``) pass
+    through to :class:`~repro.core.engine.Fixy`.
     """
 
     def __init__(

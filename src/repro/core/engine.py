@@ -22,10 +22,11 @@ those arrays directly, and — with ``fast_density`` — eligible KDEs are
 served from validated log-density interpolation grids once traffic
 amortizes their construction. Two engine-level layers sit on top:
 
-- a **compiled-scene LRU cache**, so repeated queries against the same
-  scene object (rank tracks, then bundles, then observations) compile
-  once; a multi-scene :meth:`Fixy.rank` ranks each scene from its
-  cached scorer and merges the per-scene rankings;
+- a **scorer LRU cache** (:meth:`Fixy.compile` is uncached), so
+  repeated queries against the same scene object (rank tracks, then
+  bundles, then observations) compile once; a multi-scene
+  :meth:`Fixy.rank` ranks each scene from its cached scorer and merges
+  the per-scene rankings;
 - ``vectorized=False`` switches the whole engine to the scalar
   reference pipeline for A/B verification.
 """
@@ -50,6 +51,9 @@ from repro.core.scoring import (
 
 __all__ = ["Fixy"]
 
+#: Scorers :meth:`Fixy.scorer` keeps, keyed by scene object identity.
+_SCORER_CACHE_SIZE = 16
+
 
 class Fixy:
     """Learned observation assertions over perception scenes.
@@ -68,8 +72,6 @@ class Fixy:
             (lazy; builds only once batch traffic amortizes it). The
             scalar path is never affected. See
             :meth:`repro.core.learning.LearnedModel.enable_fast_eval`.
-        compile_cache_size: Compiled scenes kept in the LRU cache
-            (``0`` disables caching).
     """
 
     def __init__(
@@ -80,7 +82,6 @@ class Fixy:
         min_samples: int = 8,
         vectorized: bool = True,
         fast_density: bool = True,
-        compile_cache_size: int = 16,
     ):
         if not features:
             raise ValueError("Fixy needs at least one feature")
@@ -98,12 +99,10 @@ class Fixy:
             self.features, sources=learn_sources, min_samples=min_samples
         )
         self.learned: LearnedModel | None = None
-        #: id(scene) -> [scene, compiled, scorer-or-None]; the scene
-        #: reference keeps the id stable while cached, the scorer slot
-        #: memoizes the edge-table build across rank calls. The lock
-        #: guards it: gateway and pool-dispatch threads share one engine.
-        self._compile_cache: OrderedDict[int, list] = OrderedDict()
-        self._compile_cache_size = max(0, int(compile_cache_size))
+        #: id(scene) -> (scene, scorer); the scene reference keeps the
+        #: id stable while cached. The lock guards it: callers may rank
+        #: from several threads on one engine.
+        self._scorers: OrderedDict[int, tuple[Scene, Scorer]] = OrderedDict()
         self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -141,7 +140,7 @@ class Fixy:
         over ``scene``, sharing this engine's features/AOFs/model.
 
         Session edits mutate ``scene`` in place, so every edit also
-        evicts it from this engine's identity-keyed compile cache —
+        evicts it from this engine's identity-keyed scorer cache —
         :meth:`rank` on the same scene object stays fresh.
         """
         from repro.serving.session import SceneSession
@@ -173,16 +172,9 @@ class Fixy:
     # Online phase
     # ------------------------------------------------------------------
     def compile(self, scene: Scene) -> CompiledScene:
-        """Compile one scene into its factor graph (LRU-cached).
-
-        The cache is keyed by scene object identity: mutate a scene
-        in-place and you must call :meth:`clear_compile_cache` (or
-        :meth:`fit`, which clears it) to recompile.
-        """
+        """Compile one scene into its factor graph (uncached: every call
+        compiles afresh)."""
         self._require_fitted()
-        entry = self._cache_entry(scene)
-        if entry is not None:
-            return entry[1]
         return compile_scene(
             scene,
             self.features,
@@ -191,56 +183,32 @@ class Fixy:
             vectorized=self.vectorized,
         )
 
-    def _cache_entry(self, scene: Scene) -> list | None:
-        """The cache entry for ``scene``, compiling on miss (None when
-        caching is disabled)."""
-        if not self._compile_cache_size:
-            return None
-        key = id(scene)
-        with self._cache_lock:
-            hit = self._compile_cache.get(key)
-            if hit is not None and hit[0] is scene:
-                self._compile_cache.move_to_end(key)
-                return hit
-        compiled = compile_scene(
-            scene,
-            self.features,
-            learned=self.learned,
-            aofs=self.aofs,
-            vectorized=self.vectorized,
-        )
-        entry = [scene, compiled, None]
-        with self._cache_lock:
-            hit = self._compile_cache.get(key)
-            if hit is not None and hit[0] is scene:
-                # Another thread won the race; keep its entry.
-                self._compile_cache.move_to_end(key)
-                return hit
-            self._compile_cache[key] = entry
-            self._compile_cache.move_to_end(key)
-            while len(self._compile_cache) > self._compile_cache_size:
-                self._compile_cache.popitem(last=False)
-        return entry
-
     def clear_compile_cache(self) -> None:
-        """Drop all cached compiled scenes."""
+        """Drop every cached scorer (and the compiled scene it holds)."""
         with self._cache_lock:
-            self._compile_cache.clear()
+            self._scorers.clear()
 
     def _evict_scene(self, scene: Scene) -> None:
-        """Drop one scene's cache entry (it was mutated in place)."""
+        """Drop one scene's cached scorer (it was mutated in place)."""
         with self._cache_lock:
-            self._compile_cache.pop(id(scene), None)
+            self._scorers.pop(id(scene), None)
 
     def scorer(self, scene: Scene) -> Scorer:
-        """A scorer for one scene (compile and scorer both LRU-cached)."""
-        self._require_fitted()
-        entry = self._cache_entry(scene)
-        if entry is None:
-            return Scorer(self.compile(scene))
-        if entry[2] is None:
-            entry[2] = Scorer(entry[1])
-        return entry[2]
+        """A scorer for one scene, LRU-cached by scene object identity:
+        after mutating a cached scene in place, call
+        :meth:`clear_compile_cache` (:meth:`session` edits evict it)."""
+        key = id(scene)
+        with self._cache_lock:
+            hit = self._scorers.get(key)
+            if hit is not None and hit[0] is scene:
+                self._scorers.move_to_end(key)
+                return hit[1]
+        scorer = Scorer(self.compile(scene))
+        with self._cache_lock:
+            self._scorers[key] = (scene, scorer)
+            while len(self._scorers) > _SCORER_CACHE_SIZE:
+                self._scorers.popitem(last=False)
+        return scorer
 
     def rank(
         self,

@@ -9,9 +9,9 @@ deliberately excluded from the per-scene timings: it is one-time model
 preparation, amortized over every scene served afterwards.
 
 Used by ``benchmarks/run_perf_harness.py`` (which persists the results
-to ``BENCH_scaling.json`` so PRs can track the perf trajectory), by
+to ``BENCH_scaling.json`` so PRs can track the perf trajectory) and by
 ``benchmarks/bench_vectorized_ab.py`` (which asserts the speedup
-floor), and by ``python -m repro.cli bench``.
+floor).
 """
 
 from __future__ import annotations

@@ -65,7 +65,8 @@ connection from the frame magic) and content-addressed scene transport: an ``aud
 packed-scene frame blobs, are decoded once into a bounded
 :class:`~repro.api.frames.SceneCache`, and hashes the cache cannot
 resolve are answered with ``{"ok": true, "need": [...]}`` so the
-coordinator resends only the missing bodies.
+coordinator resends only the missing bodies. An entry also keeps the
+scorer its scene's first audit compiled.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ import time
 
 from repro.api import frames, protocol
 from repro.core.model import Scene
+from repro.core.scoring import merge_rankings
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import Stopwatch
@@ -134,9 +136,10 @@ class StreamingService:
         capacity: Advertised audit capacity (a unitless weight the
             worker pool uses to size scene partitions; a worker with
             capacity 2 gets roughly twice the scenes of one with 1).
-        scene_cache: Decoded scenes kept by content hash for the v2
-            content-addressed transport (bounded LRU; also the size
-            advertised in ``hello`` so coordinators can mirror it).
+        scene_cache: Scenes (decoded, plus their scorers once
+            audited) kept by content hash for the v2 content-addressed
+            transport (bounded LRU; also the size advertised in
+            ``hello`` so coordinators can mirror it).
         warehouse: Path to (or instance of) a shared
             :class:`~repro.warehouse.SceneWarehouse`. When set, scene
             hashes that miss the in-memory cache are fetched from the
@@ -307,13 +310,13 @@ class StreamingService:
             ingested = {}
             try:
                 for blob in blobs:
-                    fingerprint, scene = self.scene_cache.ingest(blob)
-                    ingested[fingerprint] = scene
+                    fingerprint, entry = self.scene_cache.ingest(blob)
+                    ingested[fingerprint] = entry
             except protocol.TransportError as exc:
                 return protocol.error_response(exc.code, exc.message)
             header = dict(header)
-            # Internal plumbing (never a wire field): the decoded
-            # scenes of this request's blobs, held so resolution works
+            # Internal plumbing (never a wire field): the cache
+            # entries of this request's blobs, held so resolution works
             # even when the LRU is smaller than one request, plus the
             # per-request hit/miss accounting.
             header["_ingested_scenes"] = ingested
@@ -363,62 +366,78 @@ class StreamingService:
         }
 
     def _op_audit(self, request: dict) -> dict:
-        """Execute an AuditSpec server-side (live session or shipped scenes)."""
-        from repro.api import API_VERSION, Audit, AuditSpec
+        """Execute an AuditSpec server-side (live session or shipped scenes).
+
+        Shipped scenes are ranked inline whatever backend the spec
+        names, each from the scorer its cache entry keeps; ``scenes``
+        bodies get entries of their own, which die with the request.
+        """
+        from repro.api import API_VERSION, AuditSpec
         from repro.api.result import AuditProvenance, AuditResult
 
         spec = AuditSpec.from_dict(request["spec"])
+        filt = spec.compile_filter()
+        fixy = self.store.fixy
+        extra = {}
         session_id = request.get("session_id")
         if session_id is not None:
-            # Rank the live session's already-spliced state directly —
-            # the session *is* the session backend, minus a recompile.
             session = self.store.get(session_id)
-            with obs_trace.span(
-                "rank", attrs={"backend": "session"}
-            ):
-                watch = Stopwatch()
-                items = session.rank(
-                    spec.kind, spec.compile_filter(), top_k=spec.top_k
-                )
-                rank_s = watch.s
-            learned = self.store.fixy.learned
-            result = AuditResult(
-                items=items,
-                spec=spec,
-                provenance=AuditProvenance(
-                    backend="session",
-                    spec_hash=spec.spec_hash(),
-                    model_fingerprint=(
-                        learned.fingerprint() if learned is not None else None
-                    ),
-                    n_scenes=1,
-                    api_version=API_VERSION,
-                    timings={"rank_s": rank_s, "total_s": rank_s},
-                ),
-            )
+            backend, n_scenes = "session", 1
         else:
-            cache_stats = None
             hashes = request.get("scene_hashes")
             if hashes is not None:
-                scenes, cache_stats, missing = self._resolve_scene_hashes(
+                entries, stats, missing = self._resolve_scene_hashes(
                     hashes, request.get("_ingested_scenes")
                 )
+                extra["scene_cache"] = stats
                 if missing:
                     # Not an error: the coordinator resends only these
                     # bodies (cache eviction, or a restarted worker).
                     return {"need": missing}
             else:
-                scenes = [Scene.from_dict(d) for d in request["scenes"]]
-            with Audit(spec, fixy=self.store.fixy) as audit:
-                result = audit.run(scenes=scenes)
-            if cache_stats is not None:
-                return {"result": result.to_dict(), "scene_cache": cache_stats}
-        return {"result": result.to_dict()}
+                entries = [
+                    [Scene.from_dict(d), None] for d in request["scenes"]
+                ]
+            backend, n_scenes = "inline", len(entries)
+        with obs_trace.span(
+            "rank", attrs={"backend": backend, "n_scenes": n_scenes}
+        ):
+            watch = Stopwatch()
+            if session_id is not None:
+                items = session.rank(spec.kind, filt, top_k=spec.top_k)
+            else:
+                # Warm grids, as Audit binds every backend, so worker
+                # rankings stay byte-identical to inline ones.
+                fixy.warmup_fast_eval()
+                blocks = [
+                    self.scene_cache.scorer(entry, fixy).rank(
+                        spec.kind, filt, spec.top_k
+                    )
+                    for entry in entries
+                ]
+                items = merge_rankings(blocks, spec.top_k)
+            rank_s = watch.s
+        learned = fixy.learned
+        result = AuditResult(
+            items=items,
+            spec=spec,
+            provenance=AuditProvenance(
+                backend=backend,
+                spec_hash=spec.spec_hash(),
+                model_fingerprint=(
+                    learned.fingerprint() if learned is not None else None
+                ),
+                n_scenes=n_scenes,
+                api_version=API_VERSION,
+                timings={"rank_s": rank_s, "total_s": rank_s},
+            ),
+        )
+        return {"result": result.to_dict(), **extra}
 
     def _resolve_scene_hashes(self, hashes, ingested):
         """Resolve content hashes against the scene cache (+ warehouse).
 
-        Returns ``(scenes, {"hits", "misses"}, missing_hashes)`` —
+        Returns ``(entries, {"hits", "misses"}, missing_hashes)`` —
         a *hit* is a hash served from cache without a body this
         request, a *miss* one whose body just arrived as a blob. With a
         shared warehouse configured, cache misses fetch the blob by
@@ -428,17 +447,17 @@ class StreamingService:
         coordinator reships the body.
         """
         ingested = dict(ingested or {})
-        scenes, missing = [], []
+        entries, missing = [], []
         hits = misses = warehouse_fetches = 0
         for fingerprint in hashes:
-            scene = ingested.get(fingerprint)
-            if scene is not None:
-                scenes.append(scene)
+            entry = ingested.get(fingerprint)
+            if entry is not None:
+                entries.append(entry)
                 misses += 1  # body shipped with this request
                 continue
-            scene = self.scene_cache.get(fingerprint)
-            if scene is not None:
-                scenes.append(scene)
+            entry = self.scene_cache.get(fingerprint)
+            if entry is not None:
+                entries.append(entry)
                 hits += 1
                 continue
             if self.warehouse is not None:
@@ -449,8 +468,8 @@ class StreamingService:
                 except WarehouseError:
                     blob = None
                 if blob is not None:
-                    _, scene = self.scene_cache.ingest(blob)
-                    scenes.append(scene)
+                    _, entry = self.scene_cache.ingest(blob)
+                    entries.append(entry)
                     hits += 1
                     warehouse_fetches += 1
                     continue
@@ -458,7 +477,7 @@ class StreamingService:
         stats = {"hits": hits, "misses": misses}
         if self.warehouse is not None:
             stats["warehouse"] = warehouse_fetches
-        return scenes, stats, missing
+        return entries, stats, missing
 
     def _op_subscribe(self, request: dict) -> dict:
         """Register an AuditSpec as a standing query on a live session."""

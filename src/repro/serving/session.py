@@ -116,7 +116,7 @@ class SceneSession:
         on_invalidate: Called (with no arguments) whenever an edit or
             :meth:`invalidate` changes the scene — the hook
             :meth:`repro.core.engine.Fixy.session` uses to evict the
-            scene from the engine's identity-keyed compile cache, which
+            scene from the engine's identity-keyed scorer cache, which
             would otherwise serve stale pre-edit rankings. Standalone
             callers that also rank the same scene object through a
             ``Fixy`` must call ``fixy.clear_compile_cache()`` themselves

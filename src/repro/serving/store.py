@@ -56,7 +56,9 @@ class SessionStore:
         """Create (and register) a session for ``scene``.
 
         Re-opening an existing id replaces the old session — the caller
-        is handing us a new authoritative scene state.
+        is handing us a new authoritative scene state. Edits do not
+        evict ``scene`` from the engine's scorer cache (the service's
+        scenes, decoded per request, never enter it).
         """
         session = SceneSession(
             scene,
@@ -64,9 +66,6 @@ class SessionStore:
             learned=self.fixy.learned,
             aofs=self.fixy.aofs,
             session_id=session_id,
-            # Edits mutate the scene in place; keep the engine's
-            # identity-keyed compile cache from serving stale state.
-            on_invalidate=lambda: self.fixy._evict_scene(scene),
             max_standing=self.max_standing,
         )
         with self._lock:

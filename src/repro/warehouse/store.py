@@ -337,8 +337,8 @@ def warehouse_scorer(warehouse, fixy, fingerprint: str, scene):
 
     Warm path: restore the compiled columns from the sidecar keyed by
     ``(fingerprint, model fingerprint)`` — no ``compile_scene`` call.
-    Cold path: compile through the engine (its LRU applies) and write
-    the sidecar so the *next* audit under this model is warm. Engines
+    Cold path: compile through the engine (uncached) and write the
+    sidecar so the *next* audit under this model is warm. Engines
     without a fitted model, or running the scalar pipeline, always
     compile (there is nothing stable to key a sidecar on).
     """

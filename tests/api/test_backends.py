@@ -252,16 +252,17 @@ class TestRegistry:
             s.to_dict("tracks") for s in inline
         ]
 
-    def test_spec_backend_options_recorded(self, api_fixy):
+    def test_spec_backend_options_recorded(self, api_fixy, tcp_workers):
+        options = {"workers": list(tcp_workers), "timeout": 30.0}
         spec = AuditSpec(
-            kind="tracks", backend="session", backend_options={"standing": False}
+            kind="tracks", backend="remote", backend_options=options
         )
-        audit = Audit(spec, fixy=api_fixy)
         scenes = random_scenes(seed=5, n_scenes=3)
-        session = audit.run(scenes=scenes)  # spec's backend + options
-        assert session.provenance.backend_options == {"standing": False}
-        # Overriding the backend drops the spec's options (they belong
-        # to the spec's declared backend).
-        inline = audit.run(scenes=scenes, backend="inline")
+        with Audit(spec, fixy=api_fixy) as audit:
+            remote = audit.run(scenes=scenes)  # spec's backend + options
+            # Overriding the backend drops the spec's options (they
+            # belong to the spec's declared backend).
+            inline = audit.run(scenes=scenes, backend="inline")
+        assert remote.provenance.backend_options == options
         assert inline.provenance.backend_options == {}
-        assert signature(session) == signature(inline)
+        assert signature(remote) == signature(inline)

@@ -3,8 +3,13 @@ packed-scene encoding, the worker scene cache, and the framed TCP
 transport end-to-end (content-addressed audits, the ``need`` refill)."""
 
 import asyncio
+import gc
 import io
 import struct
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -161,14 +166,26 @@ class TestPackedScenes:
             frames.unpack_scene(extra)
 
 
+class _CountingEngine:
+    """Compiles through a real engine, recording (and slowing) each call."""
+
+    def __init__(self, fixy, delay=0.0):
+        self.fixy, self.delay, self.compiled = fixy, delay, []
+
+    def compile(self, scene):
+        time.sleep(self.delay)
+        self.compiled.append(scene)
+        return self.fixy.compile(scene)
+
+
 class TestSceneCache:
     def blob(self, name, n_tracks=2):
         return frames.pack_scene(model_scene(name, n_tracks=n_tracks))
 
     def test_hit_miss_accounting(self):
         cache = frames.SceneCache(maxsize=4)
-        fingerprint, scene = cache.ingest(self.blob("a"))
-        assert cache.get(fingerprint) is scene  # decoded once, reused
+        fingerprint, entry = cache.ingest(self.blob("a"))
+        assert cache.get(fingerprint) is entry  # decoded once, reused
         assert cache.get("0" * 40) is None
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
@@ -178,9 +195,9 @@ class TestSceneCache:
     def test_reingest_is_idempotent(self):
         cache = frames.SceneCache(maxsize=4)
         blob = self.blob("b")
-        first, scene1 = cache.ingest(blob)
-        second, scene2 = cache.ingest(blob)
-        assert first == second and scene1 is scene2
+        first, entry1 = cache.ingest(blob)
+        second, entry2 = cache.ingest(blob)
+        assert first == second and entry1 is entry2
         stats = cache.stats()
         assert stats["decodes"] == 1  # decoded once
         assert stats["hits"] == 1  # the resent body was a cache hit
@@ -196,6 +213,61 @@ class TestSceneCache:
         assert cache.get(fp_b) is None  # evicted
         assert cache.get(fp_a) is not None
         assert cache.get(fp_c) is not None
+
+    def test_cached_reingest_returns_same_entry_and_scorer(self, api_fixy):
+        cache = frames.SceneCache(maxsize=2)
+        blob = self.blob("sc-same")
+        _, entry = cache.ingest(blob)
+        engine = _CountingEngine(api_fixy)
+        scorer = cache.scorer(entry, engine)
+        assert entry == [entry[0], scorer]
+        _, again = cache.ingest(blob)
+        assert again is entry
+        assert cache.scorer(again, engine) is scorer
+        assert engine.compiled == [entry[0]]  # compiled once
+
+    def test_evicted_entry_takes_its_scorer(self, api_fixy):
+        cache = frames.SceneCache(maxsize=1)
+        blob = self.blob("sc-evict")
+        fingerprint, entry = cache.ingest(blob)
+        scorer = weakref.ref(cache.scorer(entry, api_fixy))
+        cache.ingest(self.blob("sc-other"))  # evicts the first entry
+        assert cache.get(fingerprint) is None
+        del entry
+        gc.collect()
+        assert scorer() is None  # nothing else held it
+        _, fresh = cache.ingest(blob)
+        assert fresh[1] is None  # a re-ingest compiles afresh
+
+    def test_racing_first_audits_keep_one_scorer(self, api_fixy):
+        cache = frames.SceneCache(maxsize=2)
+        _, entry = cache.ingest(self.blob("sc-race"))
+        engine = _CountingEngine(api_fixy, delay=0.001)
+        n_threads = 8  # more than the cores, so first audits interleave
+        start = threading.Barrier(n_threads)
+        got = [None] * n_threads
+
+        def audit(i):
+            start.wait(timeout=10)
+            got[i] = cache.scorer(entry, engine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=audit, args=(i,))
+                for i in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert engine.compiled  # at least one first audit compiled
+        assert entry[1] is not None
+        assert all(scorer is entry[1] for scorer in got)
 
 
 class TestFramedTransport:

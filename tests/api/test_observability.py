@@ -44,8 +44,7 @@ class TestStitchedTrace:
         assert all(s["trace_id"] == trace["trace_id"] for s in trace["spans"])
 
         named = spans_by_name(trace)
-        # Workers run a nested inline audit, so "audit" appears three
-        # times; the coordinator's is the only root.
+        # The coordinator's "audit" span is the only root.
         (root,) = [
             s for s in named["audit"] if s.get("parent_id") is None
         ]

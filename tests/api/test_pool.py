@@ -2,6 +2,8 @@
 partitioning, the remote backend, and mid-audit failure requeue."""
 
 import socket
+import threading
+import time
 
 import pytest
 
@@ -577,3 +579,112 @@ class TestRequeue:
                     )
             assert exc.value.code == "worker_unavailable"
             assert "partition" in exc.value.message
+
+
+class TestShedRetry:
+    def test_shed_chunk_is_retried_on_the_same_worker(self, api_fixy):
+        """A worker that sheds a chunk (`overloaded`) stays registered:
+        the pool backs off and resends, and the audit completes
+        byte-identical to inline once the worker has room again."""
+        from repro.api.client import AuditClient
+        from repro.serving.gateway import _SHED
+
+        from tests.serving.conftest import GatedService
+
+        service = GatedService(api_fixy)
+        spec = AuditSpec(kind="tracks", top_k=6)
+        scenes = [model_scene(f"shed-{i}", n_tracks=3) for i in range(4)]
+        before = _SHED.value(reason="queue_full")
+        with GatewayWorker(
+            service=service, max_inflight=1, max_queue=0
+        ) as worker, Audit(spec, fixy=api_fixy) as audit:
+            inline = audit.run(scenes=scenes)
+            # Register the pool while the worker has room.
+            audit.run(
+                scenes=scenes, backend="remote", workers=[worker.address]
+            )
+            with AuditClient.connect(worker.address, wire="frames") as parked:
+                # Park the only executor thread: every request is shed
+                # (queue_full) until the gate opens.
+                parked.send_request("stats", gate=True)
+                assert service.entered.wait(timeout=10)
+
+                def release_after_first_shed():
+                    deadline = time.monotonic() + 10
+                    while (
+                        worker.gateway.requests_shed == 0
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.002)
+                    service.release()
+
+                releaser = threading.Thread(target=release_after_first_shed)
+                releaser.start()
+                try:
+                    remote = audit.run(
+                        scenes=scenes,
+                        backend="remote",
+                        workers=[worker.address],
+                    )
+                finally:
+                    service.release()
+                    releaser.join(timeout=10)
+                assert not releaser.is_alive()
+                assert parked.recv_response()["ok"] is True
+        assert signature(remote.items) == signature(inline.items)
+        (report,) = remote.provenance.workers
+        assert report["worker"] == worker.address
+        assert report["attempts"] > 1
+        assert _SHED.value(reason="queue_full") > before
+
+
+class TestWorkerCompileCache:
+    """A worker's scene cache keeps each scene's scorer, so a hot set
+    compiles once however large it is next to the engine's own LRU."""
+
+    def test_hot_set_larger_than_engine_lru_compiles_once(self, api_fixy):
+        from repro.core.compile import _COMPILE_SCENES
+
+        spec = AuditSpec(kind="tracks", top_k=5)
+        scenes = [model_scene(f"cliff-{i}", n_tracks=2) for i in range(32)]
+        with GatewayWorker(api_fixy) as worker, Audit(
+            spec, fixy=api_fixy
+        ) as audit:
+            inline = audit.run(scenes=scenes)
+            rounds = []
+            for _ in range(2):
+                before = _COMPILE_SCENES.value()
+                result = audit.run(
+                    scenes=scenes, backend="remote", workers=[worker.address]
+                )
+                rounds.append((_COMPILE_SCENES.value() - before, result))
+        (cold_compiles, cold), (warm_compiles, warm) = rounds
+        assert cold_compiles == 32
+        assert warm_compiles == 0
+        assert sum(r["scene_cache_hits"] for r in warm.provenance.workers) == 32
+        assert signature(warm.items) == signature(inline.items)
+        assert signature(cold.items) == signature(inline.items)
+
+    def test_scene_bodies_do_not_evict_hot_scenes(self, api_fixy):
+        from repro.api.client import AuditClient
+        from repro.core.compile import _COMPILE_SCENES
+
+        spec = AuditSpec(kind="tracks", top_k=5)
+        hot = [model_scene(f"hot-{i}", n_tracks=2) for i in range(16)]
+        bodies = [model_scene(f"body-{i}", n_tracks=2) for i in range(16)]
+        with GatewayWorker(api_fixy) as worker, Audit(
+            spec, fixy=api_fixy
+        ) as audit:
+            audit.run(scenes=hot, backend="remote", workers=[worker.address])
+            with AuditClient.connect(worker.address, version=1) as client:
+                shipped = client.audit(spec, scenes=bodies)
+            before = _COMPILE_SCENES.value()
+            warm = audit.run(
+                scenes=hot, backend="remote", workers=[worker.address]
+            )
+            assert _COMPILE_SCENES.value() - before == 0
+            inline = audit.run(scenes=bodies)
+        assert sum(r["scene_cache_hits"] for r in warm.provenance.workers) == 16
+        assert signature(shipped.items) == signature(inline.items)
+        assert shipped.provenance.backend == "inline"
+        assert worker.service.scene_cache.stats()["size"] == 16

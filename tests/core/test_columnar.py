@@ -457,24 +457,26 @@ class TestEngineFastPath:
     def test_compile_cache_reuses_compiled_scene(self, training_scenes):
         fixy = Fixy(default_features()).fit(training_scenes)
         scene = scene_of([moving_track("t", n_frames=5)], scene_id="cache")
-        first = fixy.compile(scene)
-        assert fixy.compile(scene) is first
+        first = fixy.scorer(scene)
+        again = fixy.scorer(scene)
+        assert again is first and again.compiled is first.compiled
         fixy.clear_compile_cache()
-        assert fixy.compile(scene) is not first
+        assert fixy.scorer(scene) is not first
 
     def test_fit_clears_compile_cache(self, training_scenes):
         fixy = Fixy(default_features()).fit(training_scenes)
         scene = scene_of([moving_track("t", n_frames=5)], scene_id="cache2")
-        first = fixy.compile(scene)
+        first = fixy.scorer(scene)
         fixy.fit(training_scenes)
-        assert fixy.compile(scene) is not first
+        assert fixy.scorer(scene) is not first
 
-    def test_cache_disabled(self, training_scenes):
-        fixy = Fixy(
-            default_features(), compile_cache_size=0
-        ).fit(training_scenes)
+    def test_compile_is_uncached(self, training_scenes):
+        fixy = Fixy(default_features()).fit(training_scenes)
         scene = scene_of([moving_track("t", n_frames=5)], scene_id="cache3")
-        assert fixy.compile(scene) is not fixy.compile(scene)
+        cached = fixy.scorer(scene).compiled
+        first = fixy.compile(scene)
+        assert first is not cached
+        assert fixy.compile(scene) is not first
 
     def test_duplicate_feature_names_reported(self):
         with pytest.raises(ValueError) as excinfo:

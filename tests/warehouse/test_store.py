@@ -188,10 +188,9 @@ def test_sidecar_rank_byte_identity(warehouse, fitted_fixy):
     reference = _ranks(cold_scorer)
     assert warehouse.stats()["compiled"] == 1
 
-    # Evict the engine's in-memory compile cache so the warm path must
-    # come from the sidecar, then re-load the scene from the store (a
-    # distinct object, as an out-of-core batch would see it).
-    fitted_fixy._evict_scene(scene)
+    # Re-load the scene from the store (a distinct object, as an
+    # out-of-core batch would see it): the warm path must come from the
+    # sidecar.
     reloaded = warehouse.get(fingerprint)
     warm_scorer, from_sidecar = warehouse_scorer(
         warehouse, fitted_fixy, fingerprint, reloaded
@@ -202,7 +201,6 @@ def test_sidecar_rank_byte_identity(warehouse, fitted_fixy):
         assert [i.to_dict() for i in warm[kind]] == [
             i.to_dict() for i in items
         ]
-    fitted_fixy._evict_scene(reloaded)
 
 
 def test_sidecar_keyed_by_model_fingerprint(warehouse, fitted_fixy):
@@ -228,7 +226,6 @@ def test_sidecar_keyed_by_model_fingerprint(warehouse, fitted_fixy):
         )
         is not None
     )
-    fitted_fixy._evict_scene(scene)
 
 
 def test_sidecar_checksum_corruption_detected(warehouse, fitted_fixy):
@@ -252,7 +249,6 @@ def test_sidecar_checksum_corruption_detected(warehouse, fitted_fixy):
         warehouse.get_compiled(
             fingerprint, model_fp, scene, fitted_fixy.features
         )
-    fitted_fixy._evict_scene(scene)
 
 
 def test_sidecar_missing_feature_is_miss(warehouse, fitted_fixy):
@@ -266,7 +262,6 @@ def test_sidecar_missing_feature_is_miss(warehouse, fitted_fixy):
     assert (
         restore_compiled(payload, scene, fitted_fixy.features) is not None
     )
-    fitted_fixy._evict_scene(scene)
 
 
 def test_sidecar_matrix_access_raises(warehouse, fitted_fixy):
@@ -277,7 +272,6 @@ def test_sidecar_matrix_access_raises(warehouse, fitted_fixy):
     )
     with pytest.raises(WarehouseError, match="re-compile"):
         restored.columns.matrix.shape
-    fitted_fixy._evict_scene(scene)
 
 
 def test_put_compiled_without_columns_is_noop(warehouse, fitted_fixy):
@@ -299,7 +293,6 @@ def test_gc_compiled_drops_rotated_models_only(warehouse, fitted_fixy):
         compiled = fitted_fixy.compile(scene)
         warehouse.put_compiled(fingerprint, live_fp, compiled)
         warehouse.put_compiled(fingerprint, rotated, compiled)
-        fitted_fixy._evict_scene(scene)
     assert warehouse.stats()["compiled"] == 6
 
     report = warehouse.gc_compiled([live_fp])
@@ -326,7 +319,6 @@ def test_gc_compiled_drops_rotated_models_only(warehouse, fitted_fixy):
             )
             is None
         )
-        fitted_fixy._evict_scene(scene)
 
 
 def test_gc_compiled_never_touches_scene_blobs(warehouse, fitted_fixy):
@@ -335,7 +327,6 @@ def test_gc_compiled_never_touches_scene_blobs(warehouse, fitted_fixy):
     warehouse.put_compiled(
         fingerprint, "old-model", fitted_fixy.compile(scene)
     )
-    fitted_fixy._evict_scene(scene)
     before = warehouse.stats()
 
     report = warehouse.gc_compiled(["brand-new-model"])
